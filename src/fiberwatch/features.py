@@ -136,6 +136,18 @@ def build_feature_blob(frame: IntensityFrame, cfg: FeatureConfig) -> FeatureBlob
     return FeatureBlob(rows, frame.frame_index, frame.channel_index)
 
 
+def _band_matrix(n_fft: int, cfg: FeatureConfig) -> np.ndarray:
+    """(bins, bands) indicator of each band's bins, carrying the periodogram
+    scale of :func:`power_spectrum`, so ``|rfft|^2 @ bank`` gives band powers."""
+    ham = np.hamming(n_fft)
+    ref = PowerSpectrum(np.zeros(n_fft // 2 + 1), SAMPLE_RATE_HZ / n_fft)
+    bank = np.zeros((ref.power.size, cfg.bank_bands))
+    for j, s in enumerate(_band_bin_slices(ref, cfg.band_edges())):
+        bank[s, j] = 1.0
+    bank[1:-1] *= 2.0
+    return bank / np.sum(ham * ham)
+
+
 def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Vectorized feature rows for a stack of equal-length sub-windows.
 
@@ -147,30 +159,28 @@ def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     if sub_len < 8:
         raise ConfigurationError("sub-windows must hold at least 8 samples")
     n_fft = 1 << (sub_len - 1).bit_length()
-    ham = np.hamming(n_fft)
-    padded = w if n_fft == sub_len else np.concatenate(
-        [w, np.zeros(w.shape[:-1] + (n_fft - sub_len,))], axis=-1)
-    spec = np.fft.rfft(padded * ham, axis=-1)
-    power = (np.abs(spec) ** 2) / np.sum(ham ** 2)
-    power[..., 1:-1] *= 2.0
+    spec = np.fft.rfft(w * np.hamming(n_fft)[:sub_len], n=n_fft, axis=-1)
+    power = spec.real * spec.real
+    power += spec.imag * spec.imag
+    out = np.empty(w.shape[:-1] + (cfg.feature_dim,))
+    nb = cfg.bank_bands
+    bands = power @ _band_matrix(n_fft, cfg)
+    np.log(np.maximum(bands, POWER_FLOOR, out=bands), out=out[..., :nb])
 
-    ref = PowerSpectrum(np.zeros(n_fft // 2 + 1), SAMPLE_RATE_HZ / n_fft)
-    slices = _band_bin_slices(ref, cfg.band_edges())
-    bands = np.stack([power[..., s].sum(axis=-1) for s in slices], axis=-1)
-    log_e = np.log(np.maximum(bands, POWER_FLOOR))
-
-    m = w.mean(axis=-1, keepdims=True)
-    d = w - m
-    m2 = np.mean(d ** 2, axis=-1)
+    d = w - w.mean(axis=-1, keepdims=True)
+    d2 = d * d
+    m2 = d2.mean(axis=-1)
+    m3 = (d2 * d).mean(axis=-1)
+    m4 = (d2 * d2).mean(axis=-1)
     ok = m2 > 0.0
     safe_m2 = np.where(ok, m2, 1.0)
-    kurt = np.where(ok, np.mean(d ** 4, axis=-1) / safe_m2 ** 2 - 3.0, 0.0)
-    skew = np.where(ok, np.mean(d ** 3, axis=-1) / safe_m2 ** 1.5, 0.0)
-    rms = np.sqrt(np.mean(w ** 2, axis=-1))
+    out[..., nb] = np.where(ok, m4 / (safe_m2 * safe_m2) - 3.0, 0.0)
+    out[..., nb + 1] = np.where(ok, m3 / (safe_m2 * np.sqrt(safe_m2)), 0.0)
+    rms = np.sqrt((w * w).mean(axis=-1))
     safe_rms = np.where(rms > 0.0, rms, 1.0)
-    peak = np.where(rms > 0.0, np.max(np.abs(w), axis=-1) / safe_rms, 0.0)
-    stats = np.stack([kurt, skew, rms, peak], axis=-1)
-    return np.concatenate([log_e, stats], axis=-1)
+    out[..., nb + 2] = rms
+    out[..., nb + 3] = np.where(rms > 0.0, np.abs(w).max(axis=-1) / safe_rms, 0.0)
+    return out
 
 
 def fit_normalizer(blobs, std_eps: float = 1e-8) -> NormalizerStats:

@@ -334,5 +334,13 @@ def save_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
 
 def load_stream(path, channels: int) -> IntensityStream:
-    raw = np.fromfile(path, dtype="<i2")
-    return IntensityStream(raw.reshape(channels, -1).astype(np.float64))
+    """Read a channel-major little-endian int16 stream of ``channels`` rows."""
+    if channels < 1:
+        raise ConfigurationError(f"channel count must be >= 1, got {channels}")
+    raw = Path(path).read_bytes()
+    if len(raw) % (2 * channels):
+        raise ConfigurationError(
+            f"{path}: {len(raw)} bytes is not a whole number of int16 samples "
+            f"for each of {channels} channels")
+    samples = np.frombuffer(raw, dtype="<i2")
+    return IntensityStream(samples.reshape(channels, -1).astype(np.float64))

@@ -4,6 +4,18 @@ Everything runs on plain numpy arrays in double precision by default.
 Layers operate on batches (B, C, H, W); the public per-frame operations
 wrap a batch of one.  Backward passes are exact analytic gradients of the
 cross-entropy objective, checked against central finite differences.
+
+Convolution is im2col plus matrix multiply.  Each sample's columns form a
+(C*kh*kw, Ho*Wo) matrix: row (c, i, j) holds input channel c at kernel
+offset (i, j) for every output pixel in row-major order, so the reshaped
+(O, C*kh*kw) kernel times the columns gives the (O, Ho, Wo) output
+directly.  The backward pass rebuilds the same columns for the weight
+gradient, and the input gradient scatters the kernel-times-gradient
+columns back over the kh*kw offsets (col2im).  A batch is cut into chunks
+of samples whose columns fit in COLUMN_BUFFER_BYTES (4 MiB), so column
+memory does not grow with the batch.  In inference mode, convolution,
+max pooling and ReLU keep no backward cache, so each activation is freed
+as soon as the next layer has consumed it.
 """
 
 from __future__ import annotations
@@ -19,6 +31,10 @@ from . import CLASS_COUNT
 from .errors import ConfigurationError, NonFiniteGradientError
 
 MAGIC = b"FWNET1\n"
+
+# Upper bound on one im2col column buffer; convolutions cut the batch into
+# row chunks that fit it, so memory stays flat as the batch grows.
+COLUMN_BUFFER_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -139,35 +155,51 @@ class _Conv:
         self.out_shape = (spec.channels,
                           (h - kh) // spec.stride + 1,
                           (w - kw) // spec.stride + 1)
+        col_bytes = self.out_shape[1] * self.out_shape[2] * fan_in * self.w.itemsize
+        self.chunk = max(1, COLUMN_BUFFER_BYTES // col_bytes)
 
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x, train, rng):
+    def _columns(self, x):
+        """im2col: (b, C, H, W) -> (b, C*kh*kw, Ho*Wo) columns."""
         s = self.stride
-        _, ho, wo = self.out_shape
-        out = np.zeros((x.shape[0],) + self.out_shape, dtype=x.dtype)
-        for a in range(self.kh):
-            for b in range(self.kw):
-                xs = x[:, :, a:a + s * ho:s, b:b + s * wo:s]
-                out += np.einsum("bchw,oc->bohw", xs, self.w[:, :, a, b], optimize=True)
-        out += self.b[None, :, None, None]
-        return out, x
+        win = np.lib.stride_tricks.sliding_window_view(
+            x, (self.kh, self.kw), axis=(2, 3))[:, :, ::s, ::s]
+        return win.transpose(0, 1, 4, 5, 2, 3).reshape(len(x), self.w[0].size, -1)
 
-    def backward(self, dout, cache):
+    def forward(self, x, train, rng):
+        out = np.empty((x.shape[0],) + self.out_shape, dtype=x.dtype)
+        w_rows = self.w.reshape(len(self.w), -1)
+        for lo in range(0, x.shape[0], self.chunk):
+            xc = x[lo:lo + self.chunk]
+            y = out[lo:lo + len(xc)].reshape(len(xc), len(self.w), -1)
+            np.matmul(w_rows, self._columns(xc), out=y)
+        out += self.b[:, None, None]
+        return out, x if train else None
+
+    def backward(self, dout, cache, need_dx=True):
         x = cache
         s = self.stride
+        o, c = self.w.shape[:2]
         _, ho, wo = self.out_shape
-        dw = np.zeros_like(self.w)
+        w_rows = self.w.reshape(o, -1)
+        dw = np.zeros_like(w_rows)
         db = dout.sum(axis=(0, 2, 3))
-        dx = np.zeros_like(x)
-        for a in range(self.kh):
-            for b in range(self.kw):
-                xs = x[:, :, a:a + s * ho:s, b:b + s * wo:s]
-                dw[:, :, a, b] = np.einsum("bohw,bchw->oc", dout, xs, optimize=True)
-                dx[:, :, a:a + s * ho:s, b:b + s * wo:s] += np.einsum(
-                    "bohw,oc->bchw", dout, self.w[:, :, a, b], optimize=True)
-        return dx, [dw, db]
+        dx = np.zeros_like(x) if need_dx else None
+        for lo in range(0, x.shape[0], self.chunk):
+            xc = x[lo:lo + self.chunk]
+            d = dout[lo:lo + len(xc)].reshape(len(xc), o, -1)
+            dw += np.matmul(d, self._columns(xc).swapaxes(1, 2)).sum(axis=0)
+            if not need_dx:
+                continue
+            # col2im: scatter-add each kernel offset's columns back onto dx.
+            d_cols = (w_rows.T @ d).reshape(len(xc), c, self.kh, self.kw, ho, wo)
+            dxc = dx[lo:lo + len(xc)]
+            for a in range(self.kh):
+                for b in range(self.kw):
+                    dxc[:, :, a:a + s * ho:s, b:b + s * wo:s] += d_cols[:, :, a, b]
+        return dx, [dw.reshape(self.w.shape), db]
 
 
 class _Pool:
@@ -184,6 +216,14 @@ class _Pool:
     def forward(self, x, train, rng):
         b, c, h, w = x.shape
         _, ho, wo = self.out_shape
+        if not train:
+            hs, ws = ho * self.ph, wo * self.pw
+            out = x[:, :, :hs:self.ph, :ws:self.pw].copy()
+            for a in range(self.ph):
+                for d in range(self.pw):
+                    if a or d:
+                        np.maximum(out, x[:, :, a:hs:self.ph, d:ws:self.pw], out=out)
+            return out, None
         xt = x[:, :, :ho * self.ph, :wo * self.pw]
         xr = (xt.reshape(b, c, ho, self.ph, wo, self.pw)
                 .transpose(0, 1, 2, 4, 3, 5)
@@ -214,6 +254,8 @@ class _Relu:
         return []
 
     def forward(self, x, train, rng):
+        if not train:
+            return np.maximum(x, 0), None
         mask = x > 0
         return x * mask, mask
 
@@ -260,11 +302,11 @@ class _Dense:
         flat = x.reshape(x.shape[0], -1)
         return flat @ self.w + self.b, (flat, x.shape)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         flat, x_shape = cache
         dw = flat.T @ dout
         db = dout.sum(axis=0)
-        dx = (dout @ self.w.T).reshape(x_shape)
+        dx = (dout @ self.w.T).reshape(x_shape) if need_dx else None
         return dx, [dw, db]
 
 
@@ -337,10 +379,19 @@ class Network:
     def backward_batch(self, caches, probs, targets) -> list[np.ndarray]:
         """Gradients of mean cross-entropy over the batch, aligned with parameters()."""
         seed = (probs - targets) / probs.shape[0]
-        dx, head_grads = self.head.backward(seed, caches[-1])
+        # Layers below the first one with parameters need no gradient, and
+        # that layer needs no input gradient.
+        first = next((i for i, l in enumerate(self.layers) if l.params()),
+                     len(self.layers))
+        dx, head_grads = self.head.backward(seed, caches[-1],
+                                            need_dx=first < len(self.layers))
         grads = list(head_grads)
-        for layer, cache in zip(reversed(self.layers), reversed(caches[:-1])):
-            dx, layer_grads = layer.backward(dx, cache)
+        for i in range(len(self.layers) - 1, first - 1, -1):
+            layer, cache = self.layers[i], caches[i]
+            if i == first:
+                dx, layer_grads = layer.backward(dx, cache, need_dx=False)
+            else:
+                dx, layer_grads = layer.backward(dx, cache)
             grads = list(layer_grads) + grads
         return grads
 

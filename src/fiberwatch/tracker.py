@@ -87,14 +87,17 @@ def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,
         mask = dmap.decisions == class_id
         if not mask.any():
             continue
-        dilated = ndimage.binary_dilation(
-            mask, structure=np.ones((2 * gap + 1, 2 * width + 1), dtype=bool))
-        labeled, count = ndimage.label(dilated, structure=structure)
-        for comp in range(1, count + 1):
-            cells = np.nonzero((labeled == comp) & mask)
-            frames, chans = cells
+        # A max filter over the (gap, width) rectangle is that rectangle's
+        # binary dilation with a zero border.
+        dilated = ndimage.maximum_filter(mask, size=(2 * gap + 1, 2 * width + 1),
+                                         mode="constant")
+        labeled, _ = ndimage.label(dilated, structure=structure)
+        for comp, box in enumerate(ndimage.find_objects(labeled), start=1):
+            frames, chans = np.nonzero((labeled[box] == comp) & mask[box])
             if frames.size == 0:
                 continue
+            frames += box[0].start
+            chans += box[1].start
             n_b, n_e = int(frames.min()), int(frames.max())
             if n_e - n_b + 1 < min_duration or frames.size < min_area:
                 continue

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import CLASS_COUNT
-from .errors import ConfigurationError, DivergenceError, NonFiniteGradientError
+from .errors import (ConfigurationError, DivergenceError, MissingDataError,
+                     NonFiniteGradientError)
 from .features import FeatureConfig, blobs_from_windows, fit_normalizer
-from .framing import FrameShaperConfig, frame_matrix, primary_filter
+from .framing import FrameShaperConfig, frame_count, frame_matrix, primary_filter
 from .siggen import DatasetManifest, load_stream, render_scenario
 from .tensornet import Network, sgd_step
 from .ensemble import EnsembleModel, fuse_l2_batch, threshold_decide
@@ -256,7 +257,12 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
 
     ``cells`` restricts output to the given (frame, channel) pairs; None
     produces every frame of every channel.  Returns (blob stack, cells).
+    A stream shorter than one frame raises MissingDataError.
     """
+    if frame_count(stream.sample_count, fr_cfg) == 0:
+        raise MissingDataError(
+            f"stream holds {stream.sample_count} samples per channel, "
+            f"fewer than one frame of {fr_cfg.frame_size}")
     filtered = primary_filter(stream, band)
     frames = frame_matrix(filtered, fr_cfg)      # (C, N, K')
     n_ch, n_fr, _ = frames.shape

@@ -7,7 +7,10 @@ import pytest
 
 from fiberwatch.cli import (EXIT_CONFIG, EXIT_MISSING, load_config,
                             merged_config, run, validate_config)
+from fiberwatch.ensemble import EnsembleModel, save_ensemble
 from fiberwatch.errors import ConfigurationError
+from fiberwatch.features import NormalizerStats
+from fiberwatch.tensornet import Network, reference_member_specs
 from fiberwatch.training import one_hot
 
 
@@ -126,6 +129,39 @@ class TestEvalCommand:
         code = run(["--out", str(out), "eval", "--data", str(tmp_path / "nope"),
                     "--predictions", str(tmp_path / "nope.npy")])
         assert code == EXIT_MISSING
+
+
+class TestInferMalformedStream:
+    @pytest.fixture
+    def model(self, tmp_path):
+        members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
+        normalizer = NormalizerStats(np.zeros(64), np.ones(64))
+        return save_ensemble(EnsembleModel(members, np.full((3, 7), 0.5), normalizer),
+                             tmp_path / "model" / "ensemble.json")
+
+    def infer(self, tmp_path, model, payload: bytes, channels: int):
+        stream = tmp_path / "stream.i16"
+        stream.write_bytes(payload)
+        return run(["--out", str(tmp_path / "infer"), "infer", "--stream", str(stream),
+                    "--channels", str(channels), "--model", str(model)])
+
+    @pytest.mark.parametrize("payload", [np.zeros(8 * 3000 + 1, "<i2").tobytes(),
+                                         np.zeros(8 * 3000, "<i2").tobytes() + b"\0"])
+    def test_samples_not_divisible_by_channels_exits_2(self, tmp_path, capsys, model,
+                                                       payload):
+        assert self.infer(tmp_path, model, payload, channels=8) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "8 channels" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("samples", [0, 1, 100, 2047])
+    def test_stream_shorter_than_one_frame_exits_3(self, tmp_path, capsys, model,
+                                                   samples):
+        payload = np.ones(2 * samples, "<i2").tobytes()
+        assert self.infer(tmp_path, model, payload, channels=2) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("missing input:") and "fewer than one frame" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestBenchCommand:

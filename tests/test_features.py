@@ -4,7 +4,8 @@ import pytest
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.errors import ConfigurationError, DegenerateFrameError
 from fiberwatch.features import (POWER_FLOOR, FeatureConfig, NormalizerStats,
-                                 band_powers, build_feature_blob, denormalize,
+                                 band_powers, blobs_from_windows,
+                                 build_feature_blob, denormalize,
                                  filter_bank_energies, fit_normalizer,
                                  normalize_blob, power_spectrum, time_stats)
 from fiberwatch.framing import IntensityFrame
@@ -129,6 +130,28 @@ class TestFeatureBlob:
     def test_indivisible_frame_rejected(self):
         with pytest.raises(ConfigurationError):
             build_feature_blob(IntensityFrame(0, 0, np.zeros(2050)), FeatureConfig())
+
+
+class TestBatchMatchesScalarDefinitions:
+    @pytest.mark.parametrize("sub_len", [128, 120])
+    def test_rows_equal_scalar_features(self, rng, sub_len):
+        # Log energies compare absolutely: an error of 1e-12 in a log is a
+        # relative error of 1e-12 in the band power.
+        cfg = FeatureConfig()
+        windows = rng.normal(0, 30, (5, 3, sub_len)) * rng.uniform(0.01, 100, (5, 3, 1))
+        windows[2, 1] = 0.0
+        got = blobs_from_windows(windows, cfg)
+        assert got.shape == (5, 3, cfg.feature_dim)
+        for idx in np.ndindex(5, 3):
+            w = windows[idx]
+            log_e = filter_bank_energies(power_spectrum(w), cfg.band_edges())
+            try:
+                stats = time_stats(w)
+            except DegenerateFrameError:
+                stats = (0.0, 0.0, 0.0, 0.0)
+            want = np.concatenate([log_e, stats])
+            np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=1e-12)
+        assert np.all(got[2, 1, cfg.bank_bands:] == 0.0)
 
 
 class TestNormalizer:

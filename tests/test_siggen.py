@@ -197,3 +197,10 @@ class TestGenerateDataset:
         stream, _ = render_scenario(manifest.scenarios[sid], manifest.framing)
         back = load_stream(out / "scenarios" / f"{sid}.i16", 2)
         assert np.array_equal(back.samples, stream.samples)
+
+    @pytest.mark.parametrize("n_bytes,channels", [(2 * 7, 2), (2 * 6 + 1, 2), (12, 0)])
+    def test_load_stream_rejects_ragged_files(self, tmp_path, n_bytes, channels):
+        path = tmp_path / "ragged.i16"
+        path.write_bytes(bytes(n_bytes))
+        with pytest.raises(ConfigurationError):
+            load_stream(path, channels)

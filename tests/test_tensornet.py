@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fiberwatch.errors import ConfigurationError, NonFiniteGradientError
-from fiberwatch.tensornet import (ConvSpec, DenseSpec, DropoutSpec, Network,
-                                  NetworkSpec, PoolSpec, ReluSpec, backward,
+from fiberwatch.tensornet import (COLUMN_BUFFER_BYTES, ConvSpec, DenseSpec,
+                                  DropoutSpec, Network, NetworkSpec, PoolSpec,
+                                  ReluSpec, _Conv, _Pool, _Relu, backward,
                                   forward, gradient_check, load_checkpoint,
                                   reference_member_specs, save_checkpoint,
                                   sgd_step, softmax)
@@ -92,6 +93,110 @@ class TestForward:
         acc /= n_masks
         rel = np.linalg.norm(acc - infer_logits) / np.linalg.norm(infer_logits)
         assert rel < 0.01
+
+
+def einsum_conv_forward(x, w, b, stride):
+    """Oracle: valid cross-correlation as one einsum per kernel offset."""
+    o, _, kh, kw = w.shape
+    ho = (x.shape[2] - kh) // stride + 1
+    wo = (x.shape[3] - kw) // stride + 1
+    out = np.zeros((x.shape[0], o, ho, wo), dtype=x.dtype)
+    for a in range(kh):
+        for c in range(kw):
+            xs = x[:, :, a:a + stride * ho:stride, c:c + stride * wo:stride]
+            out += np.einsum("bchw,oc->bohw", xs, w[:, :, a, c])
+    return out + b[None, :, None, None]
+
+
+def einsum_conv_backward(dout, x, w, stride):
+    """Oracle gradients (dx, dw, db) of the per-offset einsum convolution."""
+    _, _, kh, kw = w.shape
+    ho, wo = dout.shape[2:]
+    dw = np.zeros_like(w)
+    dx = np.zeros_like(x)
+    for a in range(kh):
+        for c in range(kw):
+            sl = (slice(None), slice(None), slice(a, a + stride * ho, stride),
+                  slice(c, c + stride * wo, stride))
+            dw[:, :, a, c] = np.einsum("bohw,bchw->oc", dout, x[sl])
+            dx[sl] += np.einsum("bohw,oc->bchw", dout, w[:, :, a, c])
+    return dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+class TestConvAgainstEinsumOracle:
+    # float64 must agree to 1e-12 of the largest magnitude; float32 inputs
+    # are compared against the float64 oracle at float32 resolution.
+    TOL = {np.float64: 1e-12, np.float32: 2e-6}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel", [(3, 3), (5, 3), (3, 5)])
+    @pytest.mark.parametrize("channels", [1, 8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_and_gradients_match(self, dtype, kernel, channels, stride):
+        rng = np.random.default_rng([channels, stride, *kernel])
+        layer = _Conv(ConvSpec(kernel, 6, stride), (channels, 11, 17), rng, dtype)
+        layer.b[...] = rng.normal(size=layer.b.shape)
+        batch = 7
+        for chunk in (layer.chunk, 3):   # one chunk, and chunks of 3, 3, 1
+            layer.chunk = chunk
+            x = rng.normal(size=(batch, channels, 11, 17)).astype(dtype)
+            dout = rng.normal(size=(batch,) + layer.out_shape).astype(dtype)
+            out, cache = layer.forward(x, True, None)
+            dx, (dw, db) = layer.backward(dout, cache)
+            x64, w64, b64, d64 = (a.astype(np.float64) for a in (x, layer.w, layer.b, dout))
+            want_out = einsum_conv_forward(x64, w64, b64, stride)
+            want_dx, want_dw, want_db = einsum_conv_backward(d64, x64, w64, stride)
+            tol = self.TOL[dtype]
+            for got, want in ((out, want_out), (dx, want_dx), (dw, want_dw), (db, want_db)):
+                assert got.dtype == dtype
+                assert got.shape == want.shape
+                assert rel_err(got.astype(np.float64), want) <= tol
+
+    def test_first_layer_input_gradient_skipped(self, rng):
+        layer = _Conv(ConvSpec((3, 3), 4), (2, 8, 12), rng, np.float64)
+        x = rng.normal(size=(5, 2, 8, 12))
+        dout = rng.normal(size=(5,) + layer.out_shape)
+        _, cache = layer.forward(x, True, None)
+        _, full = layer.backward(dout, cache)
+        dx, grads = layer.backward(dout, cache, need_dx=False)
+        assert dx is None
+        assert all(np.array_equal(a, b) for a, b in zip(grads, full))
+
+    @pytest.mark.parametrize("spec", reference_member_specs())
+    def test_column_buffer_stays_bounded(self, spec):
+        net = Network(spec, seed=0)
+        for layer in net.layers:
+            if isinstance(layer, _Conv):
+                _, ho, wo = layer.out_shape
+                row_bytes = ho * wo * layer.w[0].size * layer.w.itemsize
+                assert layer.chunk >= 1
+                assert layer.chunk * row_bytes <= max(COLUMN_BUFFER_BYTES, row_bytes)
+
+
+class TestInferenceModeLayers:
+    @pytest.mark.parametrize("window", [(2, 2), (3, 2), (1, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pool_infer_equals_train(self, rng, window, dtype):
+        layer = _Pool(PoolSpec(window), (3, 9, 13))
+        x = rng.normal(size=(4, 3, 9, 13)).astype(dtype)
+        got, _ = layer.forward(x, False, None)
+        want, _ = layer.forward(x, True, None)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_infer_equals_train(self, rng, dtype):
+        layer = _Relu((3, 5, 7))
+        x = rng.normal(size=(4, 3, 5, 7)).astype(dtype)
+        x[0, 0, 0, :3] = [0.0, -0.0, np.inf]
+        got, _ = layer.forward(x, False, None)
+        want, _ = layer.forward(x, True, None)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 class TestBackward:

@@ -165,6 +165,25 @@ class TestGlueTracks:
                                      min_dur, min_area)
             assert got == want
 
+    def test_large_map_many_components_match_flood_fill_oracle(self):
+        rng = np.random.default_rng(2024)
+        decisions = rng.choice(7, size=(120, 80),
+                               p=[0.97, 0.005, 0.005, 0.005, 0.005, 0.005, 0.005])
+        decisions[0, :3] = 1            # components on every edge and corner
+        decisions[-2:, 40] = 2
+        decisions[60:63, 0] = 3
+        decisions[10, -1] = 4
+        decisions[-1, -1] = 5
+        scores = scores_from_decisions(decisions)
+        dmap = build_decision_map(scores, np.full(7, 0.5))
+        got = glue_tracks(dmap, gap=1, width=1, min_duration=1, min_area=1)
+        assert got == flood_fill_tracks(dmap.decisions, scores, 1, 1, 1, 1)
+        assert len(got) >= 100
+        assert any(t.frame_begin == 0 for t in got)
+        assert any(t.frame_end == 119 for t in got)
+        assert any(t.chan_lo == 0 for t in got)
+        assert any(t.chan_hi == 79 for t in got)
+
     def test_bounds_never_exceed_map(self, rng):
         decisions = rng.choice(7, size=(20, 8))
         dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
