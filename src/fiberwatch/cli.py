@@ -28,81 +28,6 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
-_NUM = (int, float)
-
-SCHEMA = {
-    "seed": int,
-    "out": str,
-    "workers": int,
-    "dataset": {
-        "frames_per_class": int,
-        "scenarios_per_class": int,
-        "channels": int,
-        "split_ratio": int,
-    },
-    "framing": {
-        "frame_size": int,
-        "overlap_factor": int,
-        "band_lo_hz": _NUM,
-        "band_hi_hz": _NUM,
-        "adapt_decay": _NUM,
-    },
-    "features": {
-        "subwindows": int,
-        "bank_bands": int,
-        "band_lo_hz": _NUM,
-        "band_hi_hz": _NUM,
-        "clip": _NUM,
-    },
-    "training": {
-        "epochs": int,
-        "batch_size": int,
-        "lr": _NUM,
-        "momentum": _NUM,
-        "weight_decay": _NUM,
-        "early_stop_acc": (_NUM, type(None)),
-        "relabel": bool,
-        "relabel_confidence": _NUM,
-    },
-    "ensemble": {
-        "threshold": _NUM,
-        "fusion": str,
-    },
-    "embedding": {
-        "pca_components": int,
-        "dims": int,
-        "perplexity": _NUM,
-        "iterations": int,
-        "learning_rate": _NUM,
-        "max_points": int,
-    },
-    "search": {
-        "population": int,
-        "generations": int,
-        "weight": _NUM,
-        "crossover": _NUM,
-        "epochs": int,
-        "max_frames_per_class": int,
-    },
-    "tracker": {
-        "gap": int,
-        "width": int,
-        "min_duration": int,
-        "min_area": int,
-        "alpha": _NUM,
-        "beta": _NUM,
-    },
-    "scenario": {
-        "duration_s": _NUM,
-        "channels": int,
-        "events": list,
-    },
-    "bench": {
-        "frames": int,
-        "repeats": int,
-    },
-}
-
 DEFAULTS = {
     "seed": 0,
     "out": "run",
@@ -128,6 +53,25 @@ DEFAULTS = {
                              "chan_lo": 5, "chan_hi": 7}]},
     "bench": {"frames": 1000, "repeats": 5},
 }
+
+
+def _schema(defaults: dict) -> dict:
+    """Accepted types per key, read off the defaults: a float default takes
+    any number, None an optional number, anything else its own type."""
+    out = {}
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            out[key] = _schema(value)
+        elif isinstance(value, float):
+            out[key] = (int, float)
+        elif value is None:
+            out[key] = (int, float, type(None))
+        else:
+            out[key] = type(value)
+    return out
+
+
+SCHEMA = _schema(DEFAULTS)
 
 
 def validate_config(doc: dict, schema=None, path: str = "") -> None:
@@ -293,8 +237,7 @@ def cmd_eval(cfg: dict, out: Path, data_dir: str, model_path: str | None,
         if model_path is None:
             raise ConfigurationError("eval needs --model or --predictions")
         model = ensemble.load_ensemble(model_path)
-        x = (blobs[mask] - model.normalizer.mean) / model.normalizer.std
-        x = np.clip(x, -_feature_cfg(cfg).clip, _feature_cfg(cfg).clip)
+        x = features.standardize(blobs[mask], model.normalizer, _feature_cfg(cfg).clip)
         fused = ensemble.predict_fused(model, x, cfg["ensemble"]["fusion"])
 
     acc = metrics.accuracy(fused, training.one_hot(y))
@@ -312,11 +255,6 @@ def cmd_eval(cfg: dict, out: Path, data_dir: str, model_path: str | None,
     return 0
 
 
-def _infer_scores(model, blobs, fusion: str, clip: float):
-    x = (blobs - model.normalizer.mean) / model.normalizer.std
-    return ensemble.predict_fused(model, np.clip(x, -clip, clip), fusion)
-
-
 def cmd_infer(cfg: dict, out: Path, stream_path: str, channels: int,
               model_path: str) -> int:
     p = Path(stream_path)
@@ -324,19 +262,13 @@ def cmd_infer(cfg: dict, out: Path, stream_path: str, channels: int,
         raise MissingDataError(f"stream file not found: {p}")
     model = ensemble.load_ensemble(model_path)
     stream = siggen.load_stream(p, channels)
-    fr_cfg = _framing_cfg(cfg)
-    blobs, cells = training.stream_features(
-        stream, fr_cfg, _feature_cfg(cfg), cfg["framing"]["adapt_decay"], _band(cfg))
-    fused = _infer_scores(model, blobs, cfg["ensemble"]["fusion"],
-                          _feature_cfg(cfg).clip)
-    n_frames = max(n for n, _ in cells) + 1
-    grid = np.zeros((n_frames, channels, CLASS_COUNT))
-    for (n, l), vec in zip(cells, fused):
-        grid[n, l] = vec
+    grid = training.stream_scores(
+        stream, model, _framing_cfg(cfg), _feature_cfg(cfg),
+        cfg["framing"]["adapt_decay"], _band(cfg), cfg["ensemble"]["fusion"])
     thresholds = np.full(CLASS_COUNT, cfg["ensemble"]["threshold"])
     dmap = tracker.build_decision_map(grid, thresholds)
     np.savez(out / "scores.npz", fused=grid, decisions=dmap.decisions)
-    print(f"scores: {n_frames} frames x {channels} channels -> {out / 'scores.npz'}")
+    print(f"scores: {grid.shape[0]} frames x {channels} channels -> {out / 'scores.npz'}")
     return 0
 
 
@@ -496,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="vibration-event recognition pipeline for fiber-optic sensor streams")
     parser.add_argument("--config", help="JSON configuration document")
     parser.add_argument("--seed", type=int, help="override configured seed")
-    parser.add_argument("--workers", type=int, help="data-parallel worker count")
+    parser.add_argument("--workers", type=int, help="worker processes for bench")
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import CLASS_COUNT
 from .errors import ConfigurationError
 from .features import NormalizerStats
-from .tensornet import ClassScores, Network, forward, load_checkpoint, save_checkpoint
+from .tensornet import Network, load_checkpoint, save_checkpoint
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -42,21 +42,21 @@ def default_thresholds() -> np.ndarray:
     return np.full((3, CLASS_COUNT), DEFAULT_THRESHOLD)
 
 
-def predict_members(model: EnsembleModel, blob) -> list[ClassScores]:
-    """Member outputs in fixed order, inference mode."""
-    return [forward(net, blob, mode="infer") for net in model.members]
+def threshold_decide(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Most probable class where its score clears that class's threshold, else 0.
 
-
-def threshold_decide(scores: ClassScores | np.ndarray, alpha: np.ndarray) -> int:
-    """Most probable class if its score clears the class threshold, else 0.
-
-    Argmax ties break toward the lowest index, biasing toward the
-    non-alarm background class.
+    ``scores`` holds score vectors along its last axis, shape (..., 7);
+    the result has shape (...).  Argmax ties break toward the lowest
+    index, biasing toward the non-alarm background class.
     """
-    probs = np.asarray(getattr(scores, "probs", scores), dtype=np.float64)
+    probs = np.asarray(scores, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
-    i_star = int(np.argmax(probs))
-    return i_star if probs[i_star] >= alpha[i_star] else 0
+    ok = (alpha > 0) & (alpha <= 1)
+    if not ok.all():
+        raise ConfigurationError(f"thresholds must lie in (0, 1], got {alpha[~ok].flat[0]}")
+    winners = np.argmax(probs, axis=-1)
+    winning = np.take_along_axis(probs, winners[..., None], axis=-1)[..., 0]
+    return np.where(winning >= alpha[winners], winners, 0).astype(np.int64)
 
 
 def vote_two_of_three(c1: int, c2: int, c3: int) -> int:
@@ -67,33 +67,20 @@ def vote_two_of_three(c1: int, c2: int, c3: int) -> int:
     return max(c1 * d12, c1 * d13, c2 * d23)
 
 
-@dataclass
-class FusedScores:
-    vector: np.ndarray
-    rule: str            # "l2" | "max_confidence"
+def fuse(member_probs: np.ndarray, rule: str = "l2") -> np.ndarray:
+    """One score vector from the members' vectors, (3, ..., 7) -> (..., 7).
 
-
-def fuse_l2(scores) -> FusedScores:
-    """Sum the member vectors and normalize to unit Euclidean length."""
-    vecs = [np.asarray(getattr(s, "probs", s), dtype=np.float64) for s in scores]
-    s = np.sum(vecs, axis=0)
-    return FusedScores(s / np.linalg.norm(s), "l2")
-
-
-def fuse_max_confidence(scores) -> FusedScores:
-    """Return the member vector whose largest component is largest.
-
-    Ties go to the lowest member index.
+    ``l2`` sums the member vectors and scales the sum to unit Euclidean
+    length; ``max_confidence`` returns the vector of the member whose
+    largest component is largest, ties going to the lowest member index.
     """
-    vecs = [np.asarray(getattr(s, "probs", s), dtype=np.float64) for s in scores]
-    g = int(np.argmax([v.max() for v in vecs]))
-    return FusedScores(vecs[g].copy(), "max_confidence")
-
-
-def fuse_l2_batch(member_probs: np.ndarray) -> np.ndarray:
-    """Vectorized L2 fusion; ``member_probs`` is (3, N, CLASS_COUNT)."""
-    s = member_probs.sum(axis=0)
-    return s / np.linalg.norm(s, axis=-1, keepdims=True)
+    if rule == "l2":
+        s = member_probs.sum(axis=0)
+        return s / np.linalg.norm(s, axis=-1, keepdims=True)
+    if rule == "max_confidence":
+        best = np.argmax(member_probs.max(axis=-1), axis=0)
+        return np.take_along_axis(member_probs, best[None, ..., None], axis=0)[0]
+    raise ConfigurationError(f"unknown fusion rule {rule!r}")
 
 
 def predict_fused(model: EnsembleModel, blobs: np.ndarray, rule: str = "l2",
@@ -106,14 +93,7 @@ def predict_fused(model: EnsembleModel, blobs: np.ndarray, rule: str = "l2",
             p, _, _ = net.forward_batch(blobs[k:k + batch])
             probs.append(p)
         outs.append(np.concatenate(probs, axis=0))
-    member_probs = np.stack(outs)
-    if rule == "l2":
-        return fuse_l2_batch(member_probs)
-    if rule == "max_confidence":
-        n = member_probs.shape[1]
-        best = np.argmax(member_probs.max(axis=-1), axis=0)
-        return member_probs[best, np.arange(n)]
-    raise ConfigurationError(f"unknown fusion rule {rule!r}")
+    return fuse(np.stack(outs), rule)
 
 
 def save_ensemble(model: EnsembleModel, path) -> Path:

@@ -13,10 +13,6 @@ class NumericError(ArithmeticError):
     """A numerical computation produced an unusable result."""
 
 
-class DegenerateFrameError(NumericError):
-    """A frame has zero variance; moment statistics are undefined."""
-
-
 class NonFiniteGradientError(NumericError):
     """A gradient contains NaN or infinity; the update step is rejected."""
 

@@ -8,7 +8,7 @@ tiles the stream and larger factors slide the window in fractional steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -54,37 +54,6 @@ class FrameShaperConfig:
         return self.frame_size // self.overlap_factor
 
 
-@dataclass
-class IntensityFrame:
-    frame_index: int
-    channel_index: int
-    samples: np.ndarray  # (frame_size,)
-
-
-@dataclass(frozen=True)
-class ChannelAdaptState:
-    """Per-channel running mean/variance, updated by exponential averaging.
-
-    ``decay`` is the per-frame EMA weight; 0 freezes the statistics.  The
-    first update after construction snaps to the observed frame statistics
-    so cold starts do not pass a long transient downstream.
-    """
-
-    mean: float = 0.0
-    var: float = 1.0
-    decay: float = 0.05
-    warm: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.decay <= 1.0:
-            raise ConfigurationError("decay must lie in [0, 1]")
-        if self.var < 0.0:
-            raise ConfigurationError("variance must be non-negative")
-
-
-VAR_EPS = 1e-12
-
-
 def frame_bounds(n: int, cfg: FrameShaperConfig) -> tuple[int, int]:
     """First and last sample index covered by frame ``n``."""
     k_b = n * cfg.step
@@ -114,27 +83,10 @@ def primary_filter(stream: IntensityStream, band=(5.0, 800.0)) -> IntensityStrea
     return IntensityStream(filtered, stream.sample_rate_hz)
 
 
-def shape_frames(stream: IntensityStream, cfg: FrameShaperConfig) -> list[list[IntensityFrame]]:
-    """Cut every channel into frames; returns ``frames[channel][n]``.
-
-    Streams shorter than one frame yield empty per-channel lists.
-    """
-    total = frame_count(stream.sample_count, cfg)
-    out = []
-    for l in range(stream.channel_count):
-        row = stream.samples[l]
-        frames = []
-        for n in range(total):
-            k_b, k_e = frame_bounds(n, cfg)
-            frames.append(IntensityFrame(n, l, row[k_b:k_e + 1]))
-        out.append(frames)
-    return out
-
-
 def frame_matrix(stream: IntensityStream, cfg: FrameShaperConfig) -> np.ndarray:
-    """All frames of all channels as one array of shape (channels, n_frames, frame_size).
+    """All frames of all channels as one view of shape (channels, n_frames, frame_size).
 
-    View-based companion to :func:`shape_frames` for batch feature work.
+    Streams shorter than one frame yield an empty frame axis.
     """
     total = frame_count(stream.sample_count, cfg)
     if total == 0:
@@ -144,37 +96,28 @@ def frame_matrix(stream: IntensityStream, cfg: FrameShaperConfig) -> np.ndarray:
     return windows[:, ::cfg.step][:, :total]
 
 
-def adapt_normalize(frame: IntensityFrame, state: ChannelAdaptState):
-    """Standardize a frame by its channel's running statistics.
+def adapt_frames(frames: np.ndarray, decay: float, index=np.s_[:, :]) -> np.ndarray:
+    """Standardize each frame by its channel's running mean and variance.
 
-    Returns the normalized frame and the updated state.  A channel whose
-    running variance collapses below ``VAR_EPS`` yields zeros but still
-    updates, so it recovers once real signal returns.
+    ``frames`` is (channels, n_frames, frame_size).  Per channel, the mean
+    and variance of every frame feed an exponential moving average with
+    weight ``decay`` per frame, started at the first frame's statistics, so
+    decay 0 freezes them there.  Frame n is standardized by the averages
+    after its own update.  A running standard deviation at or below 1e-6
+    (a dead channel) yields zeros.  ``index`` picks entries of the
+    (channels, n_frames) grid; the result keeps the frame axis last.
     """
-    x = np.asarray(frame.samples, dtype=np.float64)
-    m = float(x.mean())
-    v = float(x.var())
-    if state.decay == 0.0:
-        new = state
-    elif not state.warm:
-        new = replace(state, mean=m, var=v, warm=True)
-    else:
-        d = state.decay
-        new = replace(state,
-                      mean=(1.0 - d) * state.mean + d * m,
-                      var=(1.0 - d) * state.var + d * v)
-    if new.var < VAR_EPS:
-        out = np.zeros_like(x)
-    else:
-        out = (x - new.mean) / np.sqrt(new.var)
-    return IntensityFrame(frame.frame_index, frame.channel_index, out), new
-
-
-def adapt_channel(frames: np.ndarray, decay: float = 0.05) -> np.ndarray:
-    """Run the adaptation filter over one channel's frame matrix (n_frames, frame_size)."""
-    state = ChannelAdaptState(decay=decay)
-    out = np.empty_like(frames, dtype=np.float64)
-    for n in range(frames.shape[0]):
-        f, state = adapt_normalize(IntensityFrame(n, 0, frames[n]), state)
-        out[n] = f.samples
-    return out
+    if not 0.0 <= decay <= 1.0:
+        raise ConfigurationError(f"adapt_decay must lie in [0, 1], got {decay}")
+    run_m = frames.mean(axis=2)
+    run_v = frames.var(axis=2)
+    for i in range(1, run_m.shape[1]):
+        if decay > 0:
+            run_m[:, i] = (1 - decay) * run_m[:, i - 1] + decay * run_m[:, i]
+            run_v[:, i] = (1 - decay) * run_v[:, i - 1] + decay * run_v[:, i]
+        else:
+            run_m[:, i], run_v[:, i] = run_m[:, i - 1], run_v[:, i - 1]
+    raw = frames[index]
+    mu = run_m[index][..., None]
+    sd = np.sqrt(np.maximum(run_v[index], 0.0))[..., None]
+    return np.where(sd > 1e-6, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)

@@ -1,8 +1,8 @@
 """Minimal convolutional network engine: forward, softmax, backprop, SGD.
 
 Everything runs on plain numpy arrays in double precision by default.
-Layers operate on batches (B, C, H, W); the public per-frame operations
-wrap a batch of one.  Backward passes are exact analytic gradients of the
+Layers operate on batches (B, C, H, W); a single frame is a batch of
+one.  Backward passes are exact analytic gradients of the
 cross-entropy objective, checked against central finite differences.
 
 Convolution is im2col plus matrix multiply.  Each sample's columns form a
@@ -313,12 +313,6 @@ class _Dense:
 # ---------------------------------------------------------------------------
 # Network
 
-@dataclass
-class ClassScores:
-    probs: np.ndarray   # softmax output, length n_classes
-    logits: np.ndarray
-
-
 class Network:
     """A realized NetworkSpec: parameter tensors plus batched forward/backward."""
 
@@ -399,42 +393,11 @@ class Network:
         return copy.deepcopy(self)
 
 
-def softmax(z: np.ndarray) -> ClassScores:
-    """Stable softmax of one logit vector."""
-    z = np.asarray(z, dtype=np.float64)
-    probs = softmax_batch(z[None, :])[0]
-    return ClassScores(probs, z)
-
-
 def softmax_batch(z: np.ndarray) -> np.ndarray:
+    """Stable softmax along the last axis."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def forward(net: Network, blob, mode: str = "infer", rng=None):
-    """Single-frame forward pass.
-
-    Inference is deterministic; training mode draws dropout masks from
-    ``rng`` and returns the activation caches needed by backward().
-    """
-    values = np.asarray(getattr(blob, "values", blob))
-    train = mode == "train"
-    probs, logits, caches = net.forward_batch(values[None], train=train, rng=rng)
-    scores = ClassScores(probs[0], logits[0])
-    if train:
-        return scores, caches
-    return scores
-
-
-def backward(net: Network, caches, target_onehot) -> list[np.ndarray]:
-    if caches is None:
-        raise ConfigurationError("backward needs the caches from a train-mode forward")
-    t = np.asarray(target_onehot, dtype=net.dtype)
-    logits_cache = caches[-1]
-    flat, _ = logits_cache
-    probs = softmax_batch(flat @ net.head.w + net.head.b)
-    return net.backward_batch(caches, probs, t[None])
 
 
 def sgd_step(net: Network, grads, lr: float, momentum: float = 0.0,
@@ -469,7 +432,7 @@ def gradient_check(net: Network, blob, target_onehot, eps: float = 1e-5,
     Dropout masks are frozen by reseeding the same rng for every forward,
     so the loss is a deterministic function of the parameters.
     """
-    values = np.asarray(getattr(blob, "values", blob), dtype=np.float64)
+    values = np.asarray(blob, dtype=np.float64)
     t = np.asarray(target_onehot, dtype=np.float64)[None]
 
     def loss() -> float:

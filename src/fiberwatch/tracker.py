@@ -18,6 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import CLASS_COUNT
+from .ensemble import threshold_decide
 from .errors import ConfigurationError, MissingDataError
 
 
@@ -63,11 +64,7 @@ def build_decision_map(fused_scores: np.ndarray, thresholds: np.ndarray) -> Deci
     if scores.ndim != 3 or scores.shape[2] != CLASS_COUNT:
         raise ConfigurationError(
             f"fused scores must be (frames, channels, {CLASS_COUNT})")
-    alpha = np.asarray(thresholds, dtype=np.float64)
-    winners = np.argmax(scores, axis=2)
-    winning = np.take_along_axis(scores, winners[..., None], axis=2)[..., 0]
-    decisions = np.where(winning >= alpha[winners], winners, 0)
-    return DecisionMap(decisions.astype(np.int64), scores)
+    return DecisionMap(threshold_decide(scores, thresholds), scores)
 
 
 def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,

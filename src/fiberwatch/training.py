@@ -19,11 +19,12 @@ import numpy as np
 from . import CLASS_COUNT
 from .errors import (ConfigurationError, DivergenceError, MissingDataError,
                      NonFiniteGradientError)
-from .features import FeatureConfig, blobs_from_windows, fit_normalizer
-from .framing import FrameShaperConfig, frame_count, frame_matrix, primary_filter
+from .features import FeatureConfig, blobs_from_windows, fit_normalizer, standardize
+from .framing import (FrameShaperConfig, adapt_frames, frame_count, frame_matrix,
+                      primary_filter)
 from .siggen import DatasetManifest, load_stream, render_scenario
 from .tensornet import Network, sgd_step
-from .ensemble import EnsembleModel, fuse_l2_batch, threshold_decide
+from .ensemble import EnsembleModel, predict_fused, threshold_decide
 
 
 @dataclass(frozen=True)
@@ -162,20 +163,14 @@ def relabel_dataset(model: EnsembleModel, blobs: np.ndarray, labels: np.ndarray,
     of the decided class reaches ``confidence``, the label flips.  Returns
     (new labels, list of changes).
     """
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    member_probs = []
-    for net in model.members:
-        probs, _, _ = net.forward_batch(np.asarray(blobs, dtype=net.dtype))
-        member_probs.append(probs)
-    fused = fuse_l2_batch(np.stack(member_probs))
-    changes = []
-    for i in range(labels.shape[0]):
-        decided = threshold_decide(fused[i], thresholds)
-        if decided != labels[i] and fused[i, decided] >= confidence:
-            changes.append(RelabelChange(i, int(labels[i]), decided,
-                                         float(fused[i, decided])))
-            labels[i] = decided
-    return labels, changes
+    labels = np.asarray(labels, dtype=np.int64)
+    fused = predict_fused(model, blobs)
+    decided = threshold_decide(fused, thresholds)
+    conf = np.take_along_axis(fused, decided[:, None], axis=1)[:, 0]
+    flip = (decided != labels) & (conf >= confidence)
+    changes = [RelabelChange(int(i), int(labels[i]), int(decided[i]), float(conf[i]))
+               for i in np.nonzero(flip)[0]]
+    return np.where(flip, decided, labels), changes
 
 
 def write_relabel_report(changes, path) -> None:
@@ -235,20 +230,7 @@ def split_dataset(manifest: DatasetManifest, ratio: int = 7, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Feature assembly from manifests
-
-def _running_adapt(frame_means, frame_vars, decay: float):
-    """EMA scan over per-frame statistics; warm-starts on the first frame."""
-    run_m = np.empty_like(frame_means)
-    run_v = np.empty_like(frame_vars)
-    m, v = frame_means[0], frame_vars[0]
-    for i in range(frame_means.shape[0]):
-        if i and decay > 0:
-            m = (1 - decay) * m + decay * frame_means[i]
-            v = (1 - decay) * v + decay * frame_vars[i]
-        run_m[i], run_v[i] = m, v
-    return run_m, run_v
-
+# Feature assembly from streams and manifests
 
 def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
                     adapt_decay: float = 0.05, band=(5.0, 800.0),
@@ -256,9 +238,15 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     """Filter, frame, adapt, and featurize a stream.
 
     ``cells`` restricts output to the given (frame, channel) pairs; None
-    produces every frame of every channel.  Returns (blob stack, cells).
-    A stream shorter than one frame raises MissingDataError.
+    produces every frame of every channel, channel by channel.  Returns
+    (blob stack, cells).  Sub-windows that do not divide the frame raise
+    ConfigurationError; a stream shorter than one frame raises
+    MissingDataError.
     """
+    if fr_cfg.frame_size % ft_cfg.subwindows:
+        raise ConfigurationError(
+            f"frame size {fr_cfg.frame_size} not divisible by "
+            f"{ft_cfg.subwindows} subwindows")
     if frame_count(stream.sample_count, fr_cfg) == 0:
         raise MissingDataError(
             f"stream holds {stream.sample_count} samples per channel, "
@@ -268,20 +256,41 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     n_ch, n_fr, _ = frames.shape
     if cells is None:
         cells = [(n, l) for l in range(n_ch) for n in range(n_fr)]
-    means = frames.mean(axis=2)
-    varia = frames.var(axis=2)
-    run_m = np.empty_like(means)
-    run_v = np.empty_like(varia)
-    for l in range(n_ch):
-        run_m[l], run_v[l] = _running_adapt(means[l], varia[l], adapt_decay)
     sel = np.array([(l, n) for n, l in cells], dtype=np.int64)
-    raw = frames[sel[:, 0], sel[:, 1]]
-    mu = run_m[sel[:, 0], sel[:, 1]][:, None]
-    sd = np.sqrt(np.maximum(run_v[sel[:, 0], sel[:, 1]], 0.0))[:, None]
-    normed = np.where(sd > 1e-6, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
+    normed = adapt_frames(frames, adapt_decay, (sel[:, 0], sel[:, 1]))
     windows = normed.reshape(len(cells), ft_cfg.subwindows, -1)
     blobs = blobs_from_windows(windows, ft_cfg)
     return blobs, cells
+
+
+def stream_scores(stream, model: EnsembleModel, fr_cfg: FrameShaperConfig,
+                  ft_cfg: FeatureConfig, adapt_decay: float = 0.05,
+                  band=(5.0, 800.0), fusion: str = "l2") -> np.ndarray:
+    """Fused score grid (n_frames, channels, CLASS_COUNT) of a whole stream,
+    standardized by the model's normalizer and clipped at ``ft_cfg.clip``."""
+    blobs, _ = stream_features(stream, fr_cfg, ft_cfg, adapt_decay, band)
+    fused = predict_fused(model, standardize(blobs, model.normalizer, ft_cfg.clip),
+                          fusion)
+    # Cells run channel by channel, so the rows are (channel, frame) major.
+    grid = fused.reshape(stream.channel_count, -1, CLASS_COUNT).swapaxes(0, 1)
+    return np.ascontiguousarray(grid)
+
+
+def _entry_features(entries, stream_of, fr_cfg: FrameShaperConfig,
+                    ft_cfg: FeatureConfig, adapt_decay: float, band):
+    """Blobs, labels and splits of (scenario, frame, channel, class, split)
+    entries; ``stream_of(scenario)`` gives each scenario's stream once."""
+    by_scenario: dict[str, list] = {}
+    for i, e in enumerate(entries):
+        by_scenario.setdefault(e[0], []).append(i)
+    blobs = np.empty((len(entries), ft_cfg.subwindows, ft_cfg.feature_dim))
+    for sid, idxs in sorted(by_scenario.items()):
+        cells = [entries[i][1:3] for i in idxs]
+        blobs[idxs], _ = stream_features(stream_of(sid), fr_cfg, ft_cfg,
+                                         adapt_decay, band, cells)
+    labels = np.array([e[3] for e in entries], dtype=np.int64)
+    splits = np.array([e[4] for e in entries], dtype=object)
+    return blobs, labels, splits
 
 
 def load_dataset_features(dataset_dir, ft_cfg: FeatureConfig | None = None,
@@ -296,52 +305,29 @@ def load_dataset_features(dataset_dir, ft_cfg: FeatureConfig | None = None,
         raise FileNotFoundError(f"{root}: missing meta.json")
     meta = json.loads((root / "meta.json").read_text())
     fr_cfg = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
-    ft_cfg = ft_cfg or FeatureConfig()
-    entries = []
     with open(root / "manifest.jsonl") as fh:
-        for line in fh:
-            entries.append(json.loads(line))
-    by_scenario: dict[str, list] = {}
-    for i, e in enumerate(entries):
-        by_scenario.setdefault(e["scenario"], []).append(i)
+        entries = [(e["scenario"], e["frame"], e["channel"], e["class_id"], e["split"])
+                   for e in map(json.loads, fh)]
 
-    blobs = np.empty((len(entries), ft_cfg.subwindows, ft_cfg.feature_dim))
-    labels = np.empty(len(entries), dtype=np.int64)
-    splits = np.empty(len(entries), dtype=object)
-    for sid, idxs in sorted(by_scenario.items()):
-        info = meta["scenarios"][sid]
-        stream = load_stream(root / "scenarios" / f"{sid}.i16", info["channels"])
-        cells = [(entries[i]["frame"], entries[i]["channel"]) for i in idxs]
-        sblobs, _ = stream_features(stream, fr_cfg, ft_cfg, adapt_decay, band, cells)
-        for pos, i in enumerate(idxs):
-            blobs[i] = sblobs[pos]
-            labels[i] = entries[i]["class_id"]
-            splits[i] = entries[i]["split"]
-    return blobs, labels, splits
+    def stream_of(sid):
+        return load_stream(root / "scenarios" / f"{sid}.i16",
+                           meta["scenarios"][sid]["channels"])
+
+    return _entry_features(entries, stream_of, fr_cfg, ft_cfg or FeatureConfig(),
+                           adapt_decay, band)
 
 
 def manifest_features(manifest: DatasetManifest, ft_cfg: FeatureConfig | None = None,
                       adapt_decay: float = 0.05, band=(5.0, 800.0)):
     """Like load_dataset_features but renders scenarios in memory."""
-    ft_cfg = ft_cfg or FeatureConfig()
-    by_scenario: dict[str, list] = {}
-    for i, e in enumerate(manifest.entries):
-        by_scenario.setdefault(e.scenario_id, []).append(i)
-    n = len(manifest.entries)
-    blobs = np.empty((n, ft_cfg.subwindows, ft_cfg.feature_dim))
-    labels = np.empty(n, dtype=np.int64)
-    splits = np.empty(n, dtype=object)
-    for sid, idxs in sorted(by_scenario.items()):
-        stream, _ = render_scenario(manifest.scenarios[sid], manifest.framing)
-        cells = [(manifest.entries[i].frame_index, manifest.entries[i].channel)
-                 for i in idxs]
-        sblobs, _ = stream_features(stream, manifest.framing, ft_cfg, adapt_decay,
-                                    band, cells)
-        for pos, i in enumerate(idxs):
-            blobs[i] = sblobs[pos]
-            labels[i] = manifest.entries[i].class_id
-            splits[i] = manifest.entries[i].split
-    return blobs, labels, splits
+    entries = [(e.scenario_id, e.frame_index, e.channel, e.class_id, e.split)
+               for e in manifest.entries]
+
+    def stream_of(sid):
+        return render_scenario(manifest.scenarios[sid], manifest.framing)[0]
+
+    return _entry_features(entries, stream_of, manifest.framing,
+                           ft_cfg or FeatureConfig(), adapt_decay, band)
 
 
 def standardized_sets(blobs, labels, splits, ft_cfg: FeatureConfig | None = None):
@@ -349,8 +335,5 @@ def standardized_sets(blobs, labels, splits, ft_cfg: FeatureConfig | None = None
     ft_cfg = ft_cfg or FeatureConfig()
     train_mask = splits == "train"
     stats = fit_normalizer(blobs[train_mask])
-    def prep(mask):
-        v = (blobs[mask] - stats.mean) / stats.std
-        return np.clip(v, -ft_cfg.clip, ft_cfg.clip)
-    return (prep(train_mask), labels[train_mask]), \
-           (prep(~train_mask), labels[~train_mask]), stats
+    return (standardize(blobs[train_mask], stats, ft_cfg.clip), labels[train_mask]), \
+           (standardize(blobs[~train_mask], stats, ft_cfg.clip), labels[~train_mask]), stats

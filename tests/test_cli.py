@@ -131,25 +131,33 @@ class TestEvalCommand:
         assert code == EXIT_MISSING
 
 
+@pytest.fixture
+def model(tmp_path):
+    members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
+    normalizer = NormalizerStats(np.zeros(64), np.ones(64))
+    return save_ensemble(EnsembleModel(members, np.full((3, 7), 0.5), normalizer),
+                         tmp_path / "model" / "ensemble.json")
+
+
+def infer(tmp_path, model, payload: bytes, channels: int, *config):
+    stream = tmp_path / "stream.i16"
+    stream.write_bytes(payload)
+    return run([*config, "--out", str(tmp_path / "infer"), "infer", "--stream",
+                str(stream), "--channels", str(channels), "--model", str(model)])
+
+
+def one_config_error_line(capsys, fragment: str) -> bool:
+    err = capsys.readouterr().err
+    return (err.startswith("configuration error:") and fragment in err
+            and len(err.strip().splitlines()) == 1)
+
+
 class TestInferMalformedStream:
-    @pytest.fixture
-    def model(self, tmp_path):
-        members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
-        normalizer = NormalizerStats(np.zeros(64), np.ones(64))
-        return save_ensemble(EnsembleModel(members, np.full((3, 7), 0.5), normalizer),
-                             tmp_path / "model" / "ensemble.json")
-
-    def infer(self, tmp_path, model, payload: bytes, channels: int):
-        stream = tmp_path / "stream.i16"
-        stream.write_bytes(payload)
-        return run(["--out", str(tmp_path / "infer"), "infer", "--stream", str(stream),
-                    "--channels", str(channels), "--model", str(model)])
-
     @pytest.mark.parametrize("payload", [np.zeros(8 * 3000 + 1, "<i2").tobytes(),
                                          np.zeros(8 * 3000, "<i2").tobytes() + b"\0"])
     def test_samples_not_divisible_by_channels_exits_2(self, tmp_path, capsys, model,
                                                        payload):
-        assert self.infer(tmp_path, model, payload, channels=8) == EXIT_CONFIG
+        assert infer(tmp_path, model, payload, channels=8) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "8 channels" in err
         assert len(err.strip().splitlines()) == 1
@@ -158,10 +166,37 @@ class TestInferMalformedStream:
     def test_stream_shorter_than_one_frame_exits_3(self, tmp_path, capsys, model,
                                                    samples):
         payload = np.ones(2 * samples, "<i2").tobytes()
-        assert self.infer(tmp_path, model, payload, channels=2) == EXIT_MISSING
+        assert infer(tmp_path, model, payload, channels=2) == EXIT_MISSING
         err = capsys.readouterr().err
         assert err.startswith("missing input:") and "fewer than one frame" in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestBadConfigValues:
+    STREAM = np.ones(2 * 5000, "<i2").tobytes()
+
+    @pytest.mark.parametrize("section, key, value, fragment", [
+        ("framing", "adapt_decay", -3, "adapt_decay"),
+        ("framing", "adapt_decay", 1.5, "adapt_decay"),
+        ("ensemble", "threshold", 0, "thresholds"),
+        ("features", "subwindows", 7, "not divisible by 7"),
+    ])
+    def test_infer_exits_2(self, tmp_path, capsys, model, section, key, value, fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = infer(tmp_path, model, self.STREAM, 2, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert one_config_error_line(capsys, fragment)
+
+    def test_track_threshold_0_exits_2(self, tmp_path, capsys, rng):
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=rng.dirichlet(np.ones(7), size=(6, 4)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"threshold": 0}}))
+        code = run(["--config", str(cfg), "--out", str(tmp_path / "track"), "track",
+                    "--scores", str(scores)])
+        assert code == EXIT_CONFIG
+        assert one_config_error_line(capsys, "thresholds")
 
 
 class TestBenchCommand:

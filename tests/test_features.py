@@ -2,51 +2,76 @@ import numpy as np
 import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
-from fiberwatch.errors import ConfigurationError, DegenerateFrameError
+from fiberwatch.errors import ConfigurationError
 from fiberwatch.features import (POWER_FLOOR, FeatureConfig, NormalizerStats,
-                                 band_powers, blobs_from_windows,
-                                 build_feature_blob, denormalize,
-                                 filter_bank_energies, fit_normalizer,
-                                 normalize_blob, power_spectrum, time_stats)
-from fiberwatch.framing import IntensityFrame
+                                 _band_matrix, blobs_from_windows, fit_normalizer,
+                                 standardize)
+
+NB = FeatureConfig().bank_bands
+
+
+def power_spectrum(x):
+    """Oracle: one-sided Hamming periodogram, zero-padded to a power of two,
+    with its bin width in Hz."""
+    n = 1 << (x.size - 1).bit_length()
+    w = np.hamming(n)
+    p = np.abs(np.fft.rfft(np.concatenate([x, np.zeros(n - x.size)]) * w)) ** 2
+    p /= np.sum(w ** 2)
+    p[1:-1] *= 2.0
+    return p, SAMPLE_RATE_HZ / n
+
+
+def filter_bank_energies(x, edges):
+    """Oracle: log power summed over each [lo, hi) band, floored."""
+    power, bin_width = power_spectrum(x)
+    freqs = np.arange(power.size) * bin_width
+    bands = [power[(freqs >= lo) & (freqs < hi)].sum() for lo, hi in zip(edges[:-1], edges[1:])]
+    return np.log(np.maximum(bands, POWER_FLOOR))
+
+
+def time_stats(x):
+    """Oracle: excess kurtosis, skewness, RMS, peak factor; zeros where undefined."""
+    d = x - x.mean()
+    m2 = np.mean(d ** 2)
+    rms = np.sqrt(np.mean(x ** 2))
+    if m2 <= 0.0:
+        return 0.0, 0.0, rms, (np.max(np.abs(x)) / rms if rms > 0 else 0.0)
+    return (np.mean(d ** 4) / m2 ** 2 - 3.0, np.mean(d ** 3) / m2 ** 1.5, rms,
+            np.max(np.abs(x)) / rms)
 
 
 class TestPowerSpectrum:
     def test_sine_at_bin_center_peaks_there(self):
-        n = 512
-        bin_idx = 40
+        cfg = FeatureConfig()
+        n, bin_idx = 512, 40
         freq = bin_idx * SAMPLE_RATE_HZ / n
         t = np.arange(n) / SAMPLE_RATE_HZ
-        spec = power_spectrum(np.sin(2 * np.pi * freq * t))
-        assert int(np.argmax(spec.power)) == bin_idx
-
-    def test_all_zero_input_gives_zero_spectrum(self):
-        spec = power_spectrum(np.zeros(256))
-        assert np.all(spec.power == 0.0)
-
-    def test_zero_padding_to_power_of_two(self):
-        spec = power_spectrum(np.ones(100))
-        assert spec.power.shape[0] == 128 // 2 + 1
+        row = blobs_from_windows(np.sin(2 * np.pi * freq * t)[None], cfg)[0]
+        edges = cfg.band_edges()
+        band = int(np.searchsorted(edges, freq, side="right")) - 1
+        assert int(np.argmax(row[:NB])) == band
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ConfigurationError):
-            power_spectrum(np.zeros(4))
+            blobs_from_windows(np.zeros((1, 4)), FeatureConfig())
 
     def test_white_noise_flat_within_1db(self, rng):
-        # Monte-Carlo averaging oracle: 1e4 windows of white noise.
-        windows = rng.standard_normal((10_000, 128))
-        acc = np.zeros(65)
-        for w in windows:
-            acc += power_spectrum(w).power
-        acc /= windows.shape[0]
-        mid = acc[4:-4]
+        # Monte-Carlo averaging oracle: 1e4 windows of white noise; each
+        # band's mean power per bin should be the same.
+        cfg = FeatureConfig()
+        rows = blobs_from_windows(rng.standard_normal((10_000, 128)), cfg)
+        per_bin = np.exp(rows[:, :NB]).mean(axis=0) / (_band_matrix(128, cfg) > 0).sum(axis=0)
+        mid = per_bin[2:-2]
         db_spread = 10 * np.log10(mid.max() / mid.min())
         assert db_spread < 1.0
 
 
 class TestTimeStats:
+    def stats(self, x):
+        return blobs_from_windows(np.asarray(x, dtype=float)[None], FeatureConfig())[0, NB:]
+
     def test_two_point_symmetric(self):
-        kurt, skew, rms, peak = time_stats(np.array([-1.0, 1.0, -1.0, 1.0]))
+        kurt, skew, rms, peak = self.stats([-1.0, 1.0] * 64)
         assert skew == pytest.approx(0.0, abs=1e-12)
         assert kurt == pytest.approx(-2.0, abs=1e-12)
         assert rms == pytest.approx(1.0)
@@ -54,82 +79,79 @@ class TestTimeStats:
 
     def test_hand_computed_skewness(self):
         # moments for {0,0,0,1}: m2 = 0.1875, m3 = 0.09375
-        kurt, skew, rms, peak = time_stats(np.array([0.0, 0.0, 0.0, 1.0]))
+        kurt, skew, rms, peak = self.stats([0.0, 0.0, 0.0, 1.0] * 32)
         assert skew == pytest.approx(0.09375 / 0.1875 ** 1.5, abs=1e-9)
         assert skew == pytest.approx(1.1547, abs=1e-4)
 
-    def test_constant_input_raises(self):
-        with pytest.raises(DegenerateFrameError):
-            time_stats(np.full(16, 3.0))
+    def test_constant_input_gives_zero_moments(self):
+        kurt, skew, rms, peak = self.stats(np.full(128, 3.0))
+        assert kurt == 0.0 and skew == 0.0
+        assert rms == pytest.approx(3.0) and peak == pytest.approx(1.0)
 
     def test_gaussian_sanity(self, rng):
-        kurt, skew, _, _ = time_stats(rng.standard_normal(200_000))
+        rows = blobs_from_windows(rng.standard_normal((100, 2000)), FeatureConfig())
+        kurt, skew = rows[:, NB].mean(), rows[:, NB + 1].mean()
         assert abs(kurt) < 0.1
         assert abs(skew) < 0.05
 
 
 class TestFilterBank:
-    def edges(self, n):
-        return np.linspace(0.0, SAMPLE_RATE_HZ / 2, n + 1)
-
     def test_zero_spectrum_floors_every_band(self):
-        spec = power_spectrum(np.zeros(256))
-        e = filter_bank_energies(spec, self.edges(10))
-        assert np.allclose(e, np.log(POWER_FLOOR))
+        cfg = FeatureConfig()
+        row = blobs_from_windows(np.zeros((1, 256)), cfg)[0]
+        assert np.allclose(row[:NB], np.log(POWER_FLOOR))
 
-    def test_single_bin_lights_single_band(self):
-        spec = power_spectrum(np.zeros(256))
-        spec.power[30] = 1e6
-        e = filter_bank_energies(spec, self.edges(10))
-        above = np.nonzero(e > np.log(POWER_FLOOR) + 1e-9)[0]
-        assert above.size == 1
+    def test_each_bin_in_at_most_one_contiguous_band(self):
+        bank = _band_matrix(256, FeatureConfig(bank_bands=10))
+        assert np.all((bank > 0).sum(axis=1) <= 1)
+        for j in range(bank.shape[1]):
+            idx = np.nonzero(bank[:, j])[0]
+            assert idx.size > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
 
     def test_doubling_adds_log2(self, rng):
-        spec = power_spectrum(rng.normal(0, 100, 512))
-        edges = self.edges(12)
-        e1 = filter_bank_energies(spec, edges)
-        spec.power *= 2.0
-        e2 = filter_bank_energies(spec, edges)
-        assert np.allclose(e2 - e1, np.log(2.0), atol=1e-12)
+        cfg = FeatureConfig(bank_bands=12)
+        x = rng.normal(0, 100, (1, 512))
+        e1 = blobs_from_windows(x, cfg)[0]
+        e2 = blobs_from_windows(np.sqrt(2.0) * x, cfg)[0]
+        nb = cfg.bank_bands
+        assert np.allclose(e2[:nb] - e1[:nb], np.log(2.0), atol=1e-12)
+        assert np.allclose(e2[nb:nb + 2], e1[nb:nb + 2], atol=1e-9)
+        assert e2[nb + 2] == pytest.approx(np.sqrt(2.0) * e1[nb + 2])
 
     def test_empty_band_rejected(self):
-        spec = power_spectrum(np.zeros(256))
-        bad = np.array([0.0, 1.0, 2.0, 800.0])   # 1-2 Hz band has no bins
+        # 8-sample sub-windows have 208 Hz bins, wider than a 13 Hz band.
         with pytest.raises(ConfigurationError):
-            filter_bank_energies(spec, bad)
+            blobs_from_windows(np.zeros((1, 8)), FeatureConfig())
 
     def test_band_powers_conserve_total(self, rng):
-        # Parseval-style: full-range contiguous bands sum to the whole spectrum.
-        spec = power_spectrum(rng.normal(0, 50, 1024))
-        totals = band_powers(spec, self.edges(16)).sum()
-        # include the Nyquist bin, which falls on the last edge
-        expected = spec.power[:-1].sum()
-        assert totals == pytest.approx(expected, rel=1e-6)
+        # Parseval: bands tiling [0, Nyquist) sum to the windowed mean square
+        # scaled by n / sum(w^2), less the Nyquist bin on the last edge.
+        cfg = FeatureConfig(bank_bands=16, band_lo_hz=0.0, band_hi_hz=SAMPLE_RATE_HZ / 2)
+        x = rng.normal(0, 50, 1024)
+        total = np.exp(blobs_from_windows(x[None], cfg)[0, :16]).sum()
+        w = np.hamming(1024)
+        nyquist = np.abs(np.fft.rfft(x * w)[-1]) ** 2
+        expected = (1024 * np.sum((x * w) ** 2) - nyquist) / np.sum(w ** 2)
+        assert total == pytest.approx(expected, rel=1e-9)
 
 
 class TestFeatureBlob:
+    def blob(self, frame, cfg):
+        return blobs_from_windows(frame.reshape(cfg.subwindows, -1), cfg)
+
     def test_default_shape(self, rng):
-        frame = IntensityFrame(3, 1, rng.normal(0, 30, 2048))
-        blob = build_feature_blob(frame, FeatureConfig())
-        assert blob.values.shape == (16, 64)
-        assert blob.frame_index == 3 and blob.channel_index == 1
+        assert self.blob(rng.normal(0, 30, 2048), FeatureConfig()).shape == (16, 64)
 
     def test_all_zero_frame_is_deterministic_constant(self):
         cfg = FeatureConfig()
-        blob = build_feature_blob(IntensityFrame(0, 0, np.zeros(2048)), cfg)
-        assert np.allclose(blob.values[:, :cfg.bank_bands], np.log(POWER_FLOOR))
-        assert np.allclose(blob.values[:, cfg.bank_bands:], 0.0)
+        blob = self.blob(np.zeros(2048), cfg)
+        assert np.allclose(blob[:, :cfg.bank_bands], np.log(POWER_FLOOR))
+        assert np.allclose(blob[:, cfg.bank_bands:], 0.0)
 
     def test_identical_frames_identical_blobs(self, rng):
         x = rng.normal(0, 30, 2048)
         cfg = FeatureConfig()
-        b1 = build_feature_blob(IntensityFrame(0, 0, x), cfg)
-        b2 = build_feature_blob(IntensityFrame(0, 0, x.copy()), cfg)
-        assert np.array_equal(b1.values, b2.values)
-
-    def test_indivisible_frame_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_feature_blob(IntensityFrame(0, 0, np.zeros(2050)), FeatureConfig())
+        assert np.array_equal(self.blob(x, cfg), self.blob(x.copy(), cfg))
 
 
 class TestBatchMatchesScalarDefinitions:
@@ -144,12 +166,7 @@ class TestBatchMatchesScalarDefinitions:
         assert got.shape == (5, 3, cfg.feature_dim)
         for idx in np.ndindex(5, 3):
             w = windows[idx]
-            log_e = filter_bank_energies(power_spectrum(w), cfg.band_edges())
-            try:
-                stats = time_stats(w)
-            except DegenerateFrameError:
-                stats = (0.0, 0.0, 0.0, 0.0)
-            want = np.concatenate([log_e, stats])
+            want = np.concatenate([filter_bank_energies(w, cfg.band_edges()), time_stats(w)])
             np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=1e-12)
         assert np.all(got[2, 1, cfg.bank_bands:] == 0.0)
 
@@ -157,39 +174,34 @@ class TestBatchMatchesScalarDefinitions:
 class TestNormalizer:
     def make_blobs(self, rng, n=20):
         cfg = FeatureConfig()
-        return [build_feature_blob(IntensityFrame(i, 0, rng.normal(0, 30, 2048)), cfg)
-                for i in range(n)], cfg
+        return blobs_from_windows(rng.normal(0, 30, (n, 16, 128)), cfg), cfg
 
     def test_self_normalization_is_standard(self, rng):
         blobs, _ = self.make_blobs(rng)
         stats = fit_normalizer(blobs)
-        stack = np.concatenate([normalize_blob(b, stats, clip=None).values
-                                for b in blobs], axis=0)
+        stack = standardize(blobs, stats, np.inf).reshape(-1, blobs.shape[-1])
         assert np.allclose(stack.mean(axis=0), 0.0, atol=1e-6)
         live = stats.std > stats.std_eps
         assert np.allclose(stack.std(axis=0)[live], 1.0, atol=1e-6)
 
     def test_identity_stats(self, rng):
         blobs, _ = self.make_blobs(rng, n=2)
-        dim = blobs[0].values.shape[1]
+        dim = blobs.shape[-1]
         stats = NormalizerStats(np.zeros(dim), np.ones(dim))
-        out = normalize_blob(blobs[0], stats, clip=None)
-        assert np.allclose(out.values, blobs[0].values)
+        assert np.allclose(standardize(blobs[0], stats, np.inf), blobs[0])
 
     def test_outlier_bounded_by_clip(self, rng):
         blobs, cfg = self.make_blobs(rng)
         stats = fit_normalizer(blobs)
-        wild = blobs[0].values.copy()
+        wild = blobs[0].copy()
         wild[5, 62] = 1e9
-        from fiberwatch.features import FeatureBlob
-        out = normalize_blob(FeatureBlob(wild), stats, clip=cfg.clip)
-        assert np.max(np.abs(out.values)) <= cfg.clip
+        assert np.max(np.abs(standardize(wild, stats, cfg.clip))) <= cfg.clip
 
     def test_round_trip_where_std_above_eps(self, rng):
         blobs, _ = self.make_blobs(rng)
         stats = fit_normalizer(blobs)
-        x = blobs[3].values
-        back = denormalize(normalize_blob(blobs[3], stats, clip=None).values, stats)
+        x = blobs[3]
+        back = standardize(x, stats, np.inf) * stats.std + stats.mean
         live = stats.std > stats.std_eps
         assert np.allclose(back[:, live], x[:, live], rtol=1e-9, atol=1e-9)
 

@@ -3,10 +3,9 @@ import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.errors import ConfigurationError
-from fiberwatch.framing import (ChannelAdaptState, FrameShaperConfig, IntensityFrame,
-                                IntensityStream, adapt_normalize, frame_bounds,
-                                frame_count, frame_matrix, primary_filter,
-                                shape_frames)
+from fiberwatch.framing import (FrameShaperConfig, IntensityStream, adapt_frames,
+                                frame_bounds, frame_count, frame_matrix,
+                                primary_filter)
 
 
 def tone(freq, duration_s=2.0, amp=100.0):
@@ -33,8 +32,7 @@ class TestFrameShaper:
     def test_ten_frame_stream_gives_19_frames(self):
         cfg = FrameShaperConfig(1024, 2)
         stream = IntensityStream(np.zeros((1, 10 * 1024)))
-        frames = shape_frames(stream, cfg)
-        assert len(frames[0]) == 19
+        assert frame_matrix(stream, cfg).shape == (1, 19, 1024)
         assert frame_count(10 * 1024, cfg) == 19
 
     @pytest.mark.parametrize("frame_size", [256, 1024, 2048])
@@ -53,24 +51,23 @@ class TestFrameShaper:
     def test_no_overlap_tiles_stream_exactly(self):
         cfg = FrameShaperConfig(256, 1)
         data = np.arange(256 * 5, dtype=float)[None, :]
-        frames = shape_frames(IntensityStream(data), cfg)[0]
-        rebuilt = np.concatenate([f.samples for f in frames])
-        assert np.array_equal(rebuilt, data[0])
+        frames = frame_matrix(IntensityStream(data), cfg)
+        assert np.array_equal(frames[0].reshape(-1), data[0])
 
     def test_short_stream_yields_no_frames(self):
         cfg = FrameShaperConfig(2048, 2)
-        frames = shape_frames(IntensityStream(np.zeros((2, 100))), cfg)
-        assert all(len(ch) == 0 for ch in frames)
+        frames = frame_matrix(IntensityStream(np.zeros((2, 100))), cfg)
+        assert frames.shape == (2, 0, 2048)
 
-    def test_frame_matrix_agrees_with_shape_frames(self, rng):
+    def test_frame_matrix_rows_match_frame_bounds(self, rng):
         cfg = FrameShaperConfig(256, 4)
         stream = IntensityStream(rng.normal(size=(3, 2000)))
         mat = frame_matrix(stream, cfg)
-        frames = shape_frames(stream, cfg)
-        assert mat.shape == (3, len(frames[0]), 256)
+        assert mat.shape == (3, frame_count(2000, cfg), 256)
         for l in range(3):
-            for f in frames[l]:
-                assert np.array_equal(mat[l, f.frame_index], f.samples)
+            for n in range(mat.shape[1]):
+                k_b, k_e = frame_bounds(n, cfg)
+                assert np.array_equal(mat[l, n], stream.samples[l, k_b:k_e + 1])
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -118,39 +115,55 @@ class TestPrimaryFilter:
             primary_filter(stream, (5.0, 900.0))
 
 
-class TestAdaptNormalize:
+class TestAdaptFrames:
     def test_constant_stream_goes_to_zero_after_warmup(self):
-        state = ChannelAdaptState(decay=0.05)
-        frame = IntensityFrame(0, 0, np.full(256, 42.0))
-        for n in range(5):
-            out, state = adapt_normalize(IntensityFrame(n, 0, frame.samples), state)
-        assert np.allclose(out.samples, 0.0)
+        out = adapt_frames(np.full((1, 5, 256), 42.0), 0.05)
+        assert out.shape == (1, 5, 256)
+        assert np.all(out == 0.0)
 
     def test_frozen_state_is_identity(self, rng):
-        state = ChannelAdaptState(mean=0.0, var=1.0, decay=0.0)
-        x = rng.normal(size=512)
-        out, new_state = adapt_normalize(IntensityFrame(0, 0, x), state)
-        assert np.allclose(out.samples, x)
-        assert new_state == state
+        x = rng.normal(size=(1, 6, 512)) * np.arange(1, 7)[None, :, None]
+        x[0, 0] = (x[0, 0] - x[0, 0].mean()) / x[0, 0].std()
+        out = adapt_frames(x, 0.0)
+        assert np.allclose(out, x, atol=1e-12)
 
-    def test_degenerate_variance_still_updates(self):
-        state = ChannelAdaptState(mean=5.0, var=0.0, decay=0.5, warm=True)
-        out, new_state = adapt_normalize(IntensityFrame(0, 0, np.full(64, 3.0)), state)
-        assert np.allclose(out.samples, 0.0)
-        assert new_state.mean != state.mean
+    def test_decay_zero_freezes_at_first_frame_statistics(self, rng):
+        x = rng.normal(5.0, 3.0, (2, 8, 256)) * rng.uniform(1, 50, (2, 8, 1))
+        out = adapt_frames(x, 0.0)
+        m0 = x[:, :1].mean(axis=2, keepdims=True)
+        s0 = x[:, :1].std(axis=2, keepdims=True)
+        assert np.allclose(out, (x - m0) / s0, rtol=1e-12, atol=1e-12)
+
+    def test_degenerate_variance_still_updates(self, rng):
+        x = rng.normal(0, 10, (1, 6, 64))
+        x[0, 0] = 3.0
+        out = adapt_frames(x, 0.5)
+        assert np.all(out[0, 0] == 0.0)
+        assert np.all(np.abs(out[0, 1:]).max(axis=1) > 0.0)
 
     def test_gain_step_recovers_rms(self, rng):
         decay = 0.05
-        state = ChannelAdaptState(decay=decay)
-        def run(frames):
-            nonlocal state
-            outs = []
-            for n, f in enumerate(frames):
-                out, state = adapt_normalize(IntensityFrame(n, 0, f), state)
-                outs.append(np.sqrt(np.mean(out.samples ** 2)))
-            return outs
-        base = [rng.normal(0, 10, 256) for _ in range(50)]
-        pre = run(base)[-1]
-        stepped = [rng.normal(0, 100, 256) for _ in range(int(10 / decay))]
-        post = run(stepped)[-1]
-        assert abs(post - pre) <= 0.2 * pre
+        base = rng.normal(0, 10, (50, 256))
+        stepped = rng.normal(0, 100, (int(10 / decay), 256))
+        out = adapt_frames(np.concatenate([base, stepped])[None], decay)
+        rms = np.sqrt(np.mean(out[0] ** 2, axis=1))
+        assert abs(rms[-1] - rms[49]) <= 0.2 * rms[49]
+
+    def test_dead_channel_gives_zeros_and_spares_the_others(self, rng):
+        x = rng.normal(0, 30, (3, 10, 128))
+        x[1] = 17.0
+        out = adapt_frames(x, 0.05)
+        assert np.all(out[1] == 0.0)
+        assert np.array_equal(out[[0, 2]], adapt_frames(x[[0, 2]], 0.05))
+        assert np.all(np.abs(out[[0, 2]]).max(axis=2) > 0.0)
+
+    def test_index_picks_grid_entries(self, rng):
+        x = rng.normal(0, 30, (3, 10, 64))
+        chans, frames = np.array([2, 0, 1]), np.array([9, 0, 4])
+        picked = adapt_frames(x, 0.05, (chans, frames))
+        assert np.array_equal(picked, adapt_frames(x, 0.05)[chans, frames])
+
+    @pytest.mark.parametrize("decay", [-3.0, -1e-9, 1.5, float("nan")])
+    def test_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ConfigurationError):
+            adapt_frames(np.zeros((1, 2, 64)), decay)

@@ -4,10 +4,9 @@ import pytest
 from fiberwatch.errors import ConfigurationError, NonFiniteGradientError
 from fiberwatch.tensornet import (COLUMN_BUFFER_BYTES, ConvSpec, DenseSpec,
                                   DropoutSpec, Network, NetworkSpec, PoolSpec,
-                                  ReluSpec, _Conv, _Pool, _Relu, backward,
-                                  forward, gradient_check, load_checkpoint,
-                                  reference_member_specs, save_checkpoint,
-                                  sgd_step, softmax)
+                                  ReluSpec, _Conv, _Pool, _Relu, gradient_check,
+                                  load_checkpoint, reference_member_specs,
+                                  save_checkpoint, sgd_step, softmax_batch)
 
 INPUT = (8, 12)
 
@@ -22,36 +21,41 @@ def onehot(c):
     return t
 
 
+def probs_of(net, blob):
+    """Inference-mode class probabilities of one blob."""
+    return net.forward_batch(blob[None])[0][0]
+
+
 class TestSoftmax:
     def test_zeros_give_uniform(self):
-        s = softmax(np.zeros(7))
-        assert np.allclose(s.probs, 1.0 / 7.0)
+        s = softmax_batch(np.zeros(7))
+        assert np.allclose(s, 1.0 / 7.0)
 
     def test_closed_form_ln2(self):
-        s = softmax(np.array([np.log(2.0), 0, 0, 0, 0, 0, 0]))
-        assert s.probs[0] == pytest.approx(0.25, abs=1e-12)
-        assert np.allclose(s.probs[1:], 0.125, atol=1e-12)
+        s = softmax_batch(np.array([np.log(2.0), 0, 0, 0, 0, 0, 0]))
+        assert s[0] == pytest.approx(0.25, abs=1e-12)
+        assert np.allclose(s[1:], 0.125, atol=1e-12)
 
     def test_shift_invariance(self, rng):
         for _ in range(100):
             z = rng.normal(0, 5, 7)
             c = rng.normal(0, 100)
-            assert np.allclose(softmax(z).probs, softmax(z + c).probs, atol=1e-12)
+            assert np.allclose(softmax_batch(z), softmax_batch(z + c), atol=1e-12)
 
     def test_huge_logit_no_overflow(self):
         z = np.zeros(7)
         z[3] = 1000.0
-        s = softmax(z)
-        assert np.all(np.isfinite(s.probs))
-        assert s.probs[3] == pytest.approx(1.0)
+        s = softmax_batch(z)
+        assert np.all(np.isfinite(s))
+        assert s[3] == pytest.approx(1.0)
 
     def test_probability_vector_properties(self, rng):
         for _ in range(200):
             z = rng.normal(0, 10, 7)
-            s = softmax(z)
-            assert np.all(s.probs > 0)
-            assert abs(s.probs.sum() - 1.0) < 1e-9
-            assert int(np.argmax(s.probs)) == int(np.argmax(z))
+            s = softmax_batch(z)
+            assert np.all(s > 0)
+            assert abs(s.sum() - 1.0) < 1e-9
+            assert int(np.argmax(s)) == int(np.argmax(z))
 
 
 class TestForward:
@@ -59,20 +63,17 @@ class TestForward:
         net = Network(small_spec(DenseSpec(5), ReluSpec()), seed=0)
         net.head.w[...] = 0.0
         net.head.b[...] = 0.0
-        scores = forward(net, rng.normal(size=INPUT))
-        assert np.allclose(scores.probs, 1.0 / 7.0)
+        assert np.allclose(probs_of(net, rng.normal(size=INPUT)), 1.0 / 7.0)
 
     def test_infer_deterministic_with_dropout(self, rng):
         net = Network(small_spec(DenseSpec(16), DropoutSpec(0.5)), seed=1)
         blob = rng.normal(size=INPUT)
-        a = forward(net, blob).probs
-        b = forward(net, blob).probs
-        assert np.array_equal(a, b)
+        assert np.array_equal(probs_of(net, blob), probs_of(net, blob))
 
     def test_shape_mismatch_rejected(self, rng):
         net = Network(small_spec(DenseSpec(4)), seed=0)
         with pytest.raises(ConfigurationError):
-            forward(net, rng.normal(size=(4, 4)))
+            probs_of(net, rng.normal(size=(4, 4)))
 
     def test_train_mode_needs_rng(self, rng):
         net = Network(small_spec(DropoutSpec(0.3), DenseSpec(4)), seed=0)
@@ -203,27 +204,23 @@ class TestBackward:
     def test_perfect_prediction_zero_seed(self):
         # If probs equal the one-hot target the head gradient seed vanishes.
         net = Network(small_spec(), seed=0)
-        blob = np.zeros(INPUT)
-        scores, caches = forward(net, blob, mode="train", rng=np.random.default_rng(0))
-        grads = backward(net, caches, scores.probs.copy())
+        probs, _, caches = net.forward_batch(np.zeros((1,) + INPUT), train=True,
+                                             rng=np.random.default_rng(0))
+        grads = net.backward_batch(caches, probs, probs.copy())
         assert all(np.allclose(g, 0.0, atol=1e-12) for g in grads)
 
     def test_linear_model_closed_form(self, rng):
         # Head-only model: dW = x^T (p - t), db = p - t.
         net = Network(small_spec(), seed=3)
         blob = rng.normal(size=INPUT)
-        scores, caches = forward(net, blob, mode="train", rng=np.random.default_rng(0))
+        probs, _, caches = net.forward_batch(blob[None], train=True,
+                                             rng=np.random.default_rng(0))
         t = onehot(2)
-        grads = backward(net, caches, t)
-        seed_vec = scores.probs - t
+        grads = net.backward_batch(caches, probs, t[None])
+        seed_vec = probs[0] - t
         x = blob.reshape(-1)
         assert np.allclose(grads[0], np.outer(x, seed_vec), atol=1e-12)
         assert np.allclose(grads[1], seed_vec, atol=1e-12)
-
-    def test_missing_cache_rejected(self):
-        net = Network(small_spec(), seed=0)
-        with pytest.raises(ConfigurationError):
-            backward(net, None, onehot(0))
 
 
 class TestGradientCheck:
@@ -340,7 +337,7 @@ class TestCheckpoint:
         for p, q in zip(net.parameters(), back.parameters()):
             assert np.array_equal(p, q)
         blob = rng.normal(size=(16, 64))
-        assert np.array_equal(forward(net, blob).probs, forward(back, blob).probs)
+        assert np.array_equal(probs_of(net, blob), probs_of(back, blob))
 
     def test_reference_members_differ_only_in_kernels(self):
         specs = reference_member_specs()
@@ -356,8 +353,7 @@ class TestCheckpoint:
     def test_single_precision_round_trip(self, tmp_path, rng):
         net = Network(small_spec(ConvSpec((3, 3), 4), DenseSpec(8)), seed=13,
                       dtype=np.float32)
-        scores = forward(net, rng.normal(size=INPUT))
-        assert scores.probs.dtype == np.float32
+        assert probs_of(net, rng.normal(size=INPUT)).dtype == np.float32
         path = tmp_path / "f32.net"
         save_checkpoint(net, path)
         back = load_checkpoint(path)

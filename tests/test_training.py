@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from fiberwatch.ensemble import EnsembleModel, default_thresholds
+from fiberwatch import SAMPLE_RATE_HZ
+from fiberwatch.ensemble import EnsembleModel, default_thresholds, predict_fused
 from fiberwatch.errors import ConfigurationError, DivergenceError
-from fiberwatch.framing import FrameShaperConfig
+from fiberwatch.features import FeatureConfig, NormalizerStats, standardize
+from fiberwatch.framing import FrameShaperConfig, IntensityStream
 from fiberwatch.siggen import DatasetManifest, ManifestEntry
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
 from fiberwatch.training import (TrainConfig, cross_entropy_loss, one_hot,
-                                 relabel_dataset, split_dataset, train_member)
+                                 relabel_dataset, split_dataset, stream_features,
+                                 stream_scores, train_member)
 
 BLOB_SHAPE = (4, 6)
 
@@ -216,3 +219,44 @@ class TestSplitDataset:
         assert train_sids and test_sids and not (train_sids & test_sids)
         counts = test.class_counts()
         assert len(set(counts.values())) == 1
+
+
+class TestStreamPipeline:
+    def stream(self, rng, channels=3, seconds=4):
+        return IntensityStream(rng.normal(0, 200, (channels, seconds * SAMPLE_RATE_HZ)))
+
+    def test_cells_run_channel_by_channel(self, rng):
+        blobs, cells = stream_features(self.stream(rng), FrameShaperConfig(),
+                                       FeatureConfig())
+        n_frames = len(cells) // 3
+        assert cells == [(n, l) for l in range(3) for n in range(n_frames)]
+        assert blobs.shape == (len(cells), 16, 64)
+
+    def test_selected_cells_equal_full_rows(self, rng):
+        stream = self.stream(rng)
+        full, cells = stream_features(stream, FrameShaperConfig(), FeatureConfig())
+        pick = [cells[4], cells[0], cells[-1]]
+        part, _ = stream_features(stream, FrameShaperConfig(), FeatureConfig(),
+                                  cells=pick)
+        assert np.array_equal(part, full[[4, 0, len(cells) - 1]])
+
+    def test_subwindows_must_divide_frame(self, rng):
+        with pytest.raises(ConfigurationError, match="not divisible by 7"):
+            stream_features(self.stream(rng), FrameShaperConfig(),
+                            FeatureConfig(subwindows=7))
+
+    def test_score_grid_holds_each_cell_fused_vector(self, rng):
+        stream = self.stream(rng)
+        spec = NetworkSpec((16, 64), (DenseSpec(8),))
+        model = EnsembleModel([Network(spec, seed=j) for j in range(3)],
+                              default_thresholds(),
+                              NormalizerStats(np.full(64, 1.0), np.full(64, 2.0)))
+        ft_cfg = FeatureConfig(clip=1.5)
+        grid = stream_scores(stream, model, FrameShaperConfig(), ft_cfg,
+                             fusion="max_confidence")
+        blobs, cells = stream_features(stream, FrameShaperConfig(), ft_cfg)
+        fused = predict_fused(model, standardize(blobs, model.normalizer, 1.5),
+                              "max_confidence")
+        assert grid.shape == (len(cells) // 3, 3, 7) and grid.flags.c_contiguous
+        for (n, l), vec in zip(cells, fused):
+            assert np.array_equal(grid[n, l], vec)
