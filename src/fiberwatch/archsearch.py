@@ -96,25 +96,6 @@ def decode_genome(genome: np.ndarray, space: SearchSpace):
     return spec, cfg
 
 
-def encode_spec(spec: NetworkSpec, cfg: TrainConfig, space: SearchSpace) -> np.ndarray:
-    """Inverse of decode_genome for admissible specs (grid points)."""
-    b = space.bounds()
-    g = b[:, 0].copy()
-    convs = [l for l in spec.layers if l.kind == "conv"]
-    g[0] = len(convs)
-    for i, c in enumerate(convs):
-        g[1 + 2 * i] = c.kernel[0]
-        g[2 + 2 * i] = c.channels
-    dense_idx = 1 + 2 * space.max_convs
-    denses = [l for l in spec.layers if l.kind == "dense"]
-    g[dense_idx] = denses[0].width
-    drops = [l for l in spec.layers if l.kind == "dropout"]
-    g[dense_idx + 1] = drops[0].rate if drops else 0.0
-    g[dense_idx + 2] = np.log10(cfg.lr)
-    g[dense_idx + 3] = np.log10(cfg.weight_decay)
-    return g
-
-
 @dataclass(frozen=True)
 class DEConfig:
     population: int = 40

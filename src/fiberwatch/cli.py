@@ -1,10 +1,10 @@
 """Command-line entry point: reproducible runs over the whole pipeline.
 
-Commands: gen, train, eval, infer, analyze, search, track, bench.  Every
+Commands: gen, train, eval, infer, analyze, search, track.  Every
 run validates its configuration document against a schema (unknown keys
 rejected), copies the effective configuration into the output directory,
-and never mutates its inputs.  Exit codes: 2 invalid configuration,
-3 missing files, 4 numeric failure.
+and never mutates its inputs.  Exit codes: 1 other input/output error,
+2 invalid configuration, 3 missing files, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,17 +13,17 @@ import argparse
 import csv
 import json
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import CLASS_COUNT
-from . import archsearch, embedding, ensemble, features, framing, metrics
-from . import siggen, tensornet, tracker, training
+from . import archsearch, config, embedding, ensemble, features, metrics
+from . import siggen, tracker, training
 from .errors import ConfigurationError, MissingDataError, NumericError
 
+EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
@@ -31,13 +31,9 @@ EXIT_NUMERIC = 4
 DEFAULTS = {
     "seed": 0,
     "out": "run",
-    "workers": 1,
     "dataset": {"frames_per_class": 100, "scenarios_per_class": 8,
                 "channels": 4, "split_ratio": 7},
-    "framing": {"frame_size": 2048, "overlap_factor": 2, "band_lo_hz": 5.0,
-                "band_hi_hz": 800.0, "adapt_decay": 0.05},
-    "features": {"subwindows": 16, "bank_bands": 60, "band_lo_hz": 5.0,
-                 "band_hi_hz": 800.0, "clip": 8.0},
+    **features.Pipeline().to_dict(),          # the "framing" and "features" sections
     "training": {"epochs": 200, "batch_size": 64, "lr": 0.05, "momentum": 0.9,
                  "weight_decay": 1e-4, "early_stop_acc": None,
                  "relabel": False, "relabel_confidence": 0.95},
@@ -51,46 +47,16 @@ DEFAULTS = {
     "scenario": {"duration_s": 60.0, "channels": 8,
                  "events": [{"class_id": 6, "start_s": 10.0, "end_s": 20.0,
                              "chan_lo": 5, "chan_hi": 7}]},
+    # Read by no command.  `gen` snapshots the whole configuration into each
+    # dataset, and perfbench's recorded reference fingerprints hash those
+    # files; drop both keys when that reference is next recorded.
+    "workers": 1,
     "bench": {"frames": 1000, "repeats": 5},
 }
 
 
-def _schema(defaults: dict) -> dict:
-    """Accepted types per key, read off the defaults: a float default takes
-    any number, None an optional number, anything else its own type."""
-    out = {}
-    for key, value in defaults.items():
-        if isinstance(value, dict):
-            out[key] = _schema(value)
-        elif isinstance(value, float):
-            out[key] = (int, float)
-        elif value is None:
-            out[key] = (int, float, type(None))
-        else:
-            out[key] = type(value)
-    return out
-
-
-SCHEMA = _schema(DEFAULTS)
-
-
-def validate_config(doc: dict, schema=None, path: str = "") -> None:
-    schema = SCHEMA if schema is None else schema
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path or 'config'}: expected an object")
-    for key, value in doc.items():
-        if key not in schema:
-            raise ConfigurationError(f"unknown configuration key {path}{key!r}")
-        expected = schema[key]
-        if isinstance(expected, dict):
-            validate_config(value, expected, f"{path}{key}.")
-        else:
-            kinds = expected if isinstance(expected, tuple) else (expected,)
-            if bool not in kinds and isinstance(value, bool):
-                raise ConfigurationError(f"{path}{key}: expected {kinds}, got bool")
-            if not isinstance(value, kinds):
-                raise ConfigurationError(
-                    f"{path}{key}: expected {kinds}, got {type(value).__name__}")
+SCHEMA = config.schema_of(DEFAULTS)
+validate_config = partial(config.validate_config, schema=SCHEMA)
 
 
 def merged_config(user: dict | None) -> dict:
@@ -126,30 +92,30 @@ def _snapshot(cfg: dict, out: Path) -> None:
     (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _framing_cfg(cfg) -> framing.FrameShaperConfig:
-    return framing.FrameShaperConfig(cfg["framing"]["frame_size"],
-                                     cfg["framing"]["overlap_factor"])
-
-
-def _feature_cfg(cfg) -> features.FeatureConfig:
-    f = cfg["features"]
-    return features.FeatureConfig(f["subwindows"], f["bank_bands"],
-                                  f["band_lo_hz"], f["band_hi_hz"], f["clip"])
-
-
-def _band(cfg):
-    return (cfg["framing"]["band_lo_hz"], cfg["framing"]["band_hi_hz"])
+def _load_model(pipeline: features.Pipeline, path) -> ensemble.EnsembleModel:
+    """The ensemble at ``path``, which must carry a normalizer and have been
+    trained with ``pipeline``."""
+    model = ensemble.load_ensemble(path)
+    if model.normalizer is None:
+        raise ConfigurationError(f"{path}: the model has no normalizer")
+    have, want = model.pipeline.to_dict(), pipeline.to_dict()
+    diff = [f"{s}.{k} is {want[s][k]} here, {have[s][k]} in the model"
+            for s in have for k in have[s] if have[s][k] != want[s][k]]
+    if diff:
+        raise ConfigurationError(f"{path}: the configuration's preprocessing differs "
+                                 f"from the model's: {'; '.join(diff)}")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_gen(cfg: dict, out: Path) -> int:
+def cmd_gen(cfg: dict, pipeline: features.Pipeline, out: Path) -> int:
     d = cfg["dataset"]
     manifest = siggen.generate_dataset(
         frames_per_class=d["frames_per_class"], seed=cfg["seed"],
         scenarios_per_class=d["scenarios_per_class"], channels=d["channels"],
-        split_ratio=d["split_ratio"], cfg=_framing_cfg(cfg))
+        split_ratio=d["split_ratio"], cfg=pipeline.framing)
     siggen.save_dataset(manifest, out)
     counts = manifest.class_counts()
     print(f"dataset: {len(manifest.entries)} frames, "
@@ -158,52 +124,26 @@ def cmd_gen(cfg: dict, out: Path) -> int:
     return 0
 
 
-def _load_sets(data_dir, cfg):
-    blobs, labels, splits = training.load_dataset_features(
-        data_dir, _feature_cfg(cfg), cfg["framing"]["adapt_decay"], _band(cfg))
-    return training.standardized_sets(blobs, labels, splits, _feature_cfg(cfg))
+def _load_sets(data_dir, pipeline: features.Pipeline):
+    blobs, labels, splits = training.load_dataset_features(data_dir, pipeline)
+    return training.standardized_sets(blobs, labels, splits, pipeline.features.clip)
 
 
-def cmd_train(cfg: dict, out: Path, data_dir: str) -> int:
-    train_set, test_set, stats = _load_sets(data_dir, cfg)
+def cmd_train(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
+    train_set, test_set, stats = _load_sets(data_dir, pipeline)
     t = cfg["training"]
-    ft = _feature_cfg(cfg)
-    specs = tensornet.reference_member_specs((ft.subwindows, ft.feature_dim))
-    members, histories = [], []
-    for j, spec in enumerate(specs):
-        tc = training.TrainConfig(
-            epochs=t["epochs"], batch_size=t["batch_size"], lr=t["lr"],
-            momentum=t["momentum"], weight_decay=t["weight_decay"],
-            seed=cfg["seed"] + j, early_stop_acc=t["early_stop_acc"])
-        net = tensornet.Network(spec, seed=cfg["seed"] + j)
-        best, history = training.train_member(net, train_set, test_set, tc)
-        members.append(best)
-        histories.append(history)
+    tc = training.TrainConfig(seed=cfg["seed"], **{k: t[k] for k in (
+        "epochs", "batch_size", "lr", "momentum", "weight_decay", "early_stop_acc")})
+    model, histories, changes = training.train_ensemble(
+        train_set, test_set, stats, pipeline, tc, cfg["ensemble"]["threshold"],
+        t["relabel_confidence"] if t["relabel"] else None)
+    for j, history in enumerate(histories):
         acc = history.records[history.best_epoch()].test_accuracy
         print(f"member C{j + 1}: best test accuracy {acc:.4f} "
               f"after {len(history.records)} epochs")
-
-    thresholds = np.full((3, CLASS_COUNT), cfg["ensemble"]["threshold"])
-    model = ensemble.EnsembleModel(members, thresholds, stats)
-
     if t["relabel"]:
-        x_train, y_train = train_set
-        new_labels, changes = training.relabel_dataset(
-            model, x_train, y_train, thresholds[0], t["relabel_confidence"])
         training.write_relabel_report(changes, out / "relabel.jsonl")
         print(f"relabeling: {len(changes)} labels corrected")
-        if changes:
-            for j, member in enumerate(members):
-                tc = training.TrainConfig(
-                    epochs=max(1, t["epochs"] // 4), batch_size=t["batch_size"],
-                    lr=t["lr"] / 2, momentum=t["momentum"],
-                    weight_decay=t["weight_decay"], seed=cfg["seed"] + 100 + j,
-                    early_stop_acc=t["early_stop_acc"])
-                best, history = training.train_member(
-                    member, (x_train, new_labels), test_set, tc)
-                members[j] = best
-                histories[j].records.extend(history.records)
-        model = ensemble.EnsembleModel(members, thresholds, stats)
 
     ensemble.save_ensemble(model, out / "ensemble.json")
     for j, history in enumerate(histories):
@@ -217,27 +157,23 @@ def cmd_train(cfg: dict, out: Path, data_dir: str) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, out: Path, data_dir: str, model_path: str | None,
-             predictions_path: str | None) -> int:
-    blobs, labels, splits = training.load_dataset_features(
-        data_dir, _feature_cfg(cfg), cfg["framing"]["adapt_decay"], _band(cfg))
+def cmd_eval(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str,
+             model_path: str | None, predictions_path: str | None) -> int:
+    if predictions_path is None and model_path is None:
+        raise ConfigurationError("eval needs --model or --predictions")
+    model = _load_model(pipeline, model_path) if predictions_path is None else None
+    blobs, labels, splits = training.load_dataset_features(data_dir, pipeline)
     mask = splits == "test"
     if not mask.any():
         mask = np.ones(len(labels), dtype=bool)
     y = labels[mask]
 
     if predictions_path is not None:
-        p = Path(predictions_path)
-        if not p.exists():
-            raise MissingDataError(f"predictions file not found: {p}")
-        fused = np.load(p)
+        fused = np.load(predictions_path)
         if fused.shape[0] != y.shape[0]:
             raise ConfigurationError("stored predictions do not match the test set size")
     else:
-        if model_path is None:
-            raise ConfigurationError("eval needs --model or --predictions")
-        model = ensemble.load_ensemble(model_path)
-        x = features.standardize(blobs[mask], model.normalizer, _feature_cfg(cfg).clip)
+        x = features.standardize(blobs[mask], model.normalizer, pipeline.features.clip)
         fused = ensemble.predict_fused(model, x, cfg["ensemble"]["fusion"])
 
     acc = metrics.accuracy(fused, training.one_hot(y))
@@ -255,16 +191,13 @@ def cmd_eval(cfg: dict, out: Path, data_dir: str, model_path: str | None,
     return 0
 
 
-def cmd_infer(cfg: dict, out: Path, stream_path: str, channels: int,
-              model_path: str) -> int:
-    p = Path(stream_path)
-    if not p.exists():
-        raise MissingDataError(f"stream file not found: {p}")
-    model = ensemble.load_ensemble(model_path)
-    stream = siggen.load_stream(p, channels)
-    grid = training.stream_scores(
-        stream, model, _framing_cfg(cfg), _feature_cfg(cfg),
-        cfg["framing"]["adapt_decay"], _band(cfg), cfg["ensemble"]["fusion"])
+def cmd_infer(cfg: dict, pipeline: features.Pipeline, out: Path, stream_path: str,
+              channels: int, model_path: str) -> int:
+    model = _load_model(pipeline, model_path)
+    stream = siggen.load_stream(stream_path, channels)
+    grid = training.stream_scores(stream, model, cfg["ensemble"]["fusion"])
+    if not np.isfinite(grid).all():
+        raise NumericError("the model scored the stream with non-finite values")
     thresholds = np.full(CLASS_COUNT, cfg["ensemble"]["threshold"])
     dmap = tracker.build_decision_map(grid, thresholds)
     np.savez(out / "scores.npz", fused=grid, decisions=dmap.decisions)
@@ -272,9 +205,8 @@ def cmd_infer(cfg: dict, out: Path, stream_path: str, channels: int,
     return 0
 
 
-def cmd_analyze(cfg: dict, out: Path, data_dir: str) -> int:
-    blobs, labels, splits = training.load_dataset_features(
-        data_dir, _feature_cfg(cfg), cfg["framing"]["adapt_decay"], _band(cfg))
+def cmd_analyze(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
+    blobs, labels, splits = training.load_dataset_features(data_dir, pipeline)
     e = cfg["embedding"]
     flat = blobs.reshape(blobs.shape[0], -1)
     rng = np.random.default_rng([cfg["seed"], 0xA11A])
@@ -309,23 +241,20 @@ def cmd_analyze(cfg: dict, out: Path, data_dir: str) -> int:
     return 0
 
 
-def cmd_search(cfg: dict, out: Path, data_dir: str) -> int:
-    train_set, test_set, _ = _load_sets(data_dir, cfg)
+def cmd_search(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
+    train_set, test_set, _ = _load_sets(data_dir, pipeline)
     s = cfg["search"]
     cap = s["max_frames_per_class"]
     x_tr, y_tr = train_set
 
     def cap_per_class(x, y):
-        keep = []
-        for c in range(CLASS_COUNT):
-            idx = np.nonzero(y == c)[0][:cap]
-            keep.extend(idx.tolist())
-        keep = np.sort(np.array(keep, dtype=np.int64))
+        keep = np.sort(np.concatenate([np.nonzero(y == c)[0][:cap]
+                                       for c in range(CLASS_COUNT)]))
         return x[keep], y[keep]
 
     train_small = cap_per_class(x_tr, y_tr)
     test_small = cap_per_class(*test_set)
-    ft = _feature_cfg(cfg)
+    ft = pipeline.features
     space = archsearch.SearchSpace(input_shape=(ft.subwindows, ft.feature_dim))
     fitness = archsearch.architecture_fitness(space, train_small, test_small,
                                               epochs=s["epochs"], seed=cfg["seed"])
@@ -342,81 +271,36 @@ def cmd_search(cfg: dict, out: Path, data_dir: str) -> int:
     return 0
 
 
-def cmd_track(cfg: dict, out: Path, scores_path: str,
+def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: str,
               calibration_path: str | None) -> int:
     p = Path(scores_path)
     if not p.exists():
         raise MissingDataError(f"scores file not found: {p}")
-    data = np.load(p)
+    try:
+        with np.load(p) as data:
+            fused = np.asarray(data["fused"], dtype=np.float64)
+    except Exception as err:      # zipfile and numpy raise many types on bad bytes
+        raise ConfigurationError(
+            f"{p}: not an .npz file with a 'fused' array ({err!r})") from err
+    if fused.ndim != 3 or fused.shape[2] != CLASS_COUNT:
+        raise ConfigurationError(f"{p}: 'fused' has shape {fused.shape}, "
+                                 f"expected (frames, channels, {CLASS_COUNT})")
+    if not np.isfinite(fused).all():
+        raise NumericError(f"{p}: fused scores are not all finite")
     thresholds = np.full(CLASS_COUNT, cfg["ensemble"]["threshold"])
-    dmap = tracker.build_decision_map(data["fused"], thresholds)
+    dmap = tracker.build_decision_map(fused, thresholds)
     t = cfg["tracker"]
     tracks = tracker.glue_tracks(dmap, t["gap"], t["width"], t["min_duration"],
                                  t["min_area"])
     if calibration_path is not None:
-        cp = Path(calibration_path)
-        if not cp.exists():
-            raise MissingDataError(f"calibration file not found: {cp}")
-        table = tracker.CalibrationTable.from_json(cp.read_text())
+        table = tracker.CalibrationTable.from_json(Path(calibration_path).read_text())
         budget = tracker.ErrorBudget(t["alpha"], t["beta"])
         reports = tracker.apply_error_budget(tracks, budget, table)
     else:
         reports = [tracker.EventReport(tr, True, 0.0, 1.0, 0.0) for tr in tracks]
-    tracker.write_event_reports(reports, out / "events.jsonl", _framing_cfg(cfg))
+    tracker.write_event_reports(reports, out / "events.jsonl", pipeline.framing)
     admitted = sum(1 for r in reports if r.admitted)
     print(f"tracks: {len(tracks)} glued, {admitted} admitted -> {out / 'events.jsonl'}")
-    return 0
-
-
-def _bench_chunk(payload):
-    ckpt_path, blob_file, start, stop = payload
-    net = tensornet.load_checkpoint(ckpt_path)
-    blobs = np.load(blob_file)["blobs"][start:stop]
-    out = np.empty((blobs.shape[0], CLASS_COUNT))
-    for i in range(blobs.shape[0]):
-        out[i] = net.forward_batch(blobs[i:i + 1])[0][0]
-    return out
-
-
-def cmd_bench(cfg: dict, out: Path, workers: int) -> int:
-    ft = _feature_cfg(cfg)
-    spec = tensornet.reference_member_specs((ft.subwindows, ft.feature_dim))[0]
-    net = tensornet.Network(spec, seed=cfg["seed"])
-    b = cfg["bench"]
-    rng = np.random.default_rng([cfg["seed"], 0xBE7C])
-    blobs = rng.standard_normal((b["frames"], ft.subwindows, ft.feature_dim))
-
-    def time_single() -> float:
-        tic = time.perf_counter()
-        for i in range(blobs.shape[0]):
-            net.forward_batch(blobs[i:i + 1])
-        return time.perf_counter() - tic
-
-    singles = sorted(time_single() for _ in range(b["repeats"]))
-    elapsed = singles[len(singles) // 2]
-    result = {
-        "frames": b["frames"],
-        "single_worker": {"seconds": round(elapsed, 4),
-                          "ms_per_frame": round(1e3 * elapsed / b["frames"], 4),
-                          "frames_per_s": round(b["frames"] / elapsed, 2)},
-    }
-    if workers > 1:
-        ckpt = out / "bench_member.net"
-        tensornet.save_checkpoint(net, ckpt)
-        blob_file = out / "bench_blobs.npz"
-        np.savez(blob_file, blobs=blobs)
-        edges = np.linspace(0, b["frames"], workers + 1, dtype=int)
-        payloads = [(str(ckpt), str(blob_file), int(lo), int(hi))
-                    for lo, hi in zip(edges[:-1], edges[1:])]
-        tic = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_bench_chunk, payloads))
-        multi = time.perf_counter() - tic
-        result["multi_worker"] = {"workers": workers, "seconds": round(multi, 4),
-                                  "ms_per_frame": round(1e3 * multi / b["frames"], 4),
-                                  "frames_per_s": round(b["frames"] / multi, 2)}
-    (out / "bench.json").write_text(json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
     return 0
 
 
@@ -428,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="vibration-event recognition pipeline for fiber-optic sensor streams")
     parser.add_argument("--config", help="JSON configuration document")
     parser.add_argument("--seed", type=int, help="override configured seed")
-    parser.add_argument("--workers", type=int, help="worker processes for bench")
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="glue decisions into event tracks")
     p.add_argument("--scores", required=True, help="scores.npz from infer")
     p.add_argument("--calibration", help="calibration table JSON")
-    sub.add_parser("bench", help="forward-pass throughput")
     return parser
 
 
@@ -457,35 +339,30 @@ def run(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.workers is not None:
-            cfg["workers"] = args.workers
         if args.out is not None:
             cfg["out"] = args.out
         out = Path(cfg["out"])
         _snapshot(cfg, out)
-        if args.command == "gen":
-            return cmd_gen(cfg, out)
-        if args.command == "train":
-            return cmd_train(cfg, out, args.data)
-        if args.command == "eval":
-            return cmd_eval(cfg, out, args.data, args.model, args.predictions)
-        if args.command == "infer":
-            return cmd_infer(cfg, out, args.stream, args.channels, args.model)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, out, args.data)
-        if args.command == "search":
-            return cmd_search(cfg, out, args.data)
-        if args.command == "track":
-            return cmd_track(cfg, out, args.scores, args.calibration)
-        if args.command == "bench":
-            return cmd_bench(cfg, out, cfg["workers"])
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        pipeline = features.Pipeline.from_dict(cfg)
+        common = (cfg, pipeline, out)
+        return {
+            "gen": lambda: cmd_gen(*common),
+            "train": lambda: cmd_train(*common, args.data),
+            "eval": lambda: cmd_eval(*common, args.data, args.model, args.predictions),
+            "infer": lambda: cmd_infer(*common, args.stream, args.channels, args.model),
+            "analyze": lambda: cmd_analyze(*common, args.data),
+            "search": lambda: cmd_search(*common, args.data),
+            "track": lambda: cmd_track(*common, args.scores, args.calibration),
+        }[args.command]()
     except ConfigurationError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingDataError, FileNotFoundError) as err:
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError) as err:
         print(f"missing input: {err}", file=sys.stderr)
         return EXIT_MISSING
+    except OSError as err:
+        print(f"input/output error: {err}", file=sys.stderr)
+        return EXIT_IO
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,0 +1,39 @@
+"""Type checks for configuration documents, read off their defaults."""
+
+from .errors import ConfigurationError
+
+
+def schema_of(defaults: dict) -> dict:
+    """Accepted types per key, read off the defaults: a float default takes
+    any number, None an optional number, anything else its own type."""
+    out = {}
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            out[key] = schema_of(value)
+        elif isinstance(value, float):
+            out[key] = (int, float)
+        elif value is None:
+            out[key] = (int, float, type(None))
+        else:
+            out[key] = type(value)
+    return out
+
+
+def validate_config(doc: dict, schema: dict, path: str = "") -> None:
+    """Reject keys ``schema`` does not name and values of other types; a bool
+    is accepted only where the schema names bool."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path or 'config'}: expected an object")
+    for key, value in doc.items():
+        if key not in schema:
+            raise ConfigurationError(f"unknown configuration key {path}{key!r}")
+        expected = schema[key]
+        if isinstance(expected, dict):
+            validate_config(value, expected, f"{path}{key}.")
+        else:
+            kinds = expected if isinstance(expected, tuple) else (expected,)
+            if bool not in kinds and isinstance(value, bool):
+                raise ConfigurationError(f"{path}{key}: expected {kinds}, got bool")
+            if not isinstance(value, kinds):
+                raise ConfigurationError(
+                    f"{path}{key}: expected {kinds}, got {type(value).__name__}")

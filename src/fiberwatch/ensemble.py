@@ -16,10 +16,8 @@ import numpy as np
 
 from . import CLASS_COUNT
 from .errors import ConfigurationError
-from .features import NormalizerStats
+from .features import NormalizerStats, Pipeline
 from .tensornet import Network, load_checkpoint, save_checkpoint
-
-DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass
@@ -27,19 +25,24 @@ class EnsembleModel:
     members: list[Network]                 # exactly C1, C2, C3 in order
     thresholds: np.ndarray                 # (3, CLASS_COUNT), entries in (0, 1]
     normalizer: NormalizerStats | None = None
+    pipeline: Pipeline = Pipeline()        # the preprocessing it was trained with
 
     def __post_init__(self):
         if len(self.members) != 3:
             raise ConfigurationError("ensemble needs exactly 3 members")
+        if any(net.spec.n_classes != CLASS_COUNT for net in self.members):
+            raise ConfigurationError(f"members must score {CLASS_COUNT} classes")
         self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
         if self.thresholds.shape != (3, CLASS_COUNT):
             raise ConfigurationError(f"thresholds must be 3 x {CLASS_COUNT}")
-        if np.any(self.thresholds <= 0) or np.any(self.thresholds > 1):
+        if not np.all((self.thresholds > 0) & (self.thresholds <= 1)):
             raise ConfigurationError("thresholds must lie in (0, 1]")
-
-
-def default_thresholds() -> np.ndarray:
-    return np.full((3, CLASS_COUNT), DEFAULT_THRESHOLD)
+        nz, dim = self.normalizer, self.pipeline.features.feature_dim
+        if nz is not None and not (nz.mean.shape == nz.std.shape == (dim,)
+                                   and np.all(np.isfinite(nz.mean))
+                                   and np.all(np.isfinite(nz.std) & (nz.std > 0))):
+            raise ConfigurationError(f"normalizer needs {dim} finite means and "
+                                     f"{dim} finite positive deviations")
 
 
 def threshold_decide(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -108,6 +111,7 @@ def save_ensemble(model: EnsembleModel, path) -> Path:
     desc = {
         "members": member_files,
         "thresholds": model.thresholds.tolist(),
+        "pipeline": model.pipeline.to_dict(),
     }
     if model.normalizer is not None:
         desc["normalizer"] = {
@@ -121,13 +125,25 @@ def save_ensemble(model: EnsembleModel, path) -> Path:
 
 
 def load_ensemble(path) -> EnsembleModel:
+    """Read a descriptor written by ``save_ensemble``; one without a
+    ``pipeline`` section gets the default ``Pipeline()``.  A malformed
+    descriptor raises ConfigurationError."""
     path = Path(path)
-    with open(path) as fh:
-        desc = json.load(fh)
-    members = [load_checkpoint(path.parent / name) for name in desc["members"]]
-    normalizer = None
-    if "normalizer" in desc:
-        nz = desc["normalizer"]
-        normalizer = NormalizerStats(np.array(nz["mean"]), np.array(nz["std"]),
-                                     nz.get("std_eps", 1e-8))
-    return EnsembleModel(members, np.array(desc["thresholds"]), normalizer)
+    try:
+        desc = json.loads(path.read_bytes())
+        names = desc["members"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ConfigurationError("members must be a list of file names")
+        members = [load_checkpoint(path.parent / name) for name in names]
+        normalizer = None
+        if "normalizer" in desc:
+            nz = desc["normalizer"]
+            normalizer = NormalizerStats(np.array(nz["mean"], dtype=np.float64),
+                                         np.array(nz["std"], dtype=np.float64),
+                                         float(nz.get("std_eps", 1e-8)))
+        pipeline = Pipeline.from_dict(desc.get("pipeline", Pipeline().to_dict()))
+        return EnsembleModel(members, np.array(desc["thresholds"], dtype=np.float64),
+                             normalizer, pipeline)
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
+        detail = err if isinstance(err, ConfigurationError) else f"malformed ({err!r})"
+        raise ConfigurationError(f"{path}: {detail}") from err

@@ -4,16 +4,19 @@ Each frame is cut into ``subwindows`` time slices; every slice contributes
 a row of filter-bank log energies plus four time-domain statistics.  The
 resulting blob (subwindows x feature dims) is what the classifier members
 consume, after standardization against frozen training-set statistics.
+``Pipeline`` bundles every setting between a raw stream and that input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import SAMPLE_RATE_HZ, ADC_FULL_SCALE
+from .config import schema_of, validate_config
 from .errors import ConfigurationError
+from .framing import FrameShaperConfig
 
 # Log floor: 1e-10 of full-scale power keeps band energies finite on silence.
 POWER_FLOOR = 1e-10 * float(ADC_FULL_SCALE) ** 2
@@ -33,6 +36,52 @@ class FeatureConfig:
 
     def band_edges(self) -> np.ndarray:
         return np.linspace(self.band_lo_hz, self.band_hi_hz, self.bank_bands + 1)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """Everything between a raw stream and the classifier input: framing,
+    the band-pass band, channel adaptation and features, clip included.
+
+    A trained model stores the pipeline it was trained with, so scoring
+    cannot silently use a different one.
+    """
+    framing: FrameShaperConfig = FrameShaperConfig()
+    band: tuple[float, float] = (5.0, 800.0)
+    adapt_decay: float = 0.05
+    features: FeatureConfig = FeatureConfig()
+
+    def __post_init__(self):
+        if not 0.0 <= self.adapt_decay <= 1.0:
+            raise ConfigurationError(f"adapt_decay must lie in [0, 1], got {self.adapt_decay}")
+        if not self.features.clip > 0:
+            raise ConfigurationError(f"clip must be positive, got {self.features.clip}")
+        if self.features.subwindows < 1 or self.framing.frame_size % self.features.subwindows:
+            raise ConfigurationError(
+                f"frame size {self.framing.frame_size} not divisible by "
+                f"{self.features.subwindows} subwindows")
+
+    def to_dict(self) -> dict:
+        """The ``framing`` and ``features`` sections of a configuration."""
+        return {"framing": {**asdict(self.framing), "band_lo_hz": self.band[0],
+                            "band_hi_hz": self.band[1], "adapt_decay": self.adapt_decay},
+                "features": asdict(self.features)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Pipeline":
+        """Inverse of ``to_dict``; other keys of ``doc`` are ignored.  Both
+        sections must hold every key, typed as in a configuration."""
+        want = cls().to_dict()
+        have = {s: doc.get(s) for s in want} if isinstance(doc, dict) else None
+        validate_config(have, schema_of(want), "pipeline.")
+        for section, keys in want.items():
+            if have[section].keys() != keys.keys():
+                raise ConfigurationError(f"pipeline.{section}: expected the keys "
+                                         f"{sorted(keys)}")
+        fr = doc["framing"]
+        return cls(FrameShaperConfig(fr["frame_size"], fr["overlap_factor"]),
+                   (fr["band_lo_hz"], fr["band_hi_hz"]), fr["adapt_decay"],
+                   FeatureConfig(**doc["features"]))
 
 
 @dataclass

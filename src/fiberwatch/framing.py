@@ -106,9 +106,8 @@ def adapt_frames(frames: np.ndarray, decay: float, index=np.s_[:, :]) -> np.ndar
     after its own update.  A running standard deviation at or below 1e-6
     (a dead channel) yields zeros.  ``index`` picks entries of the
     (channels, n_frames) grid; the result keeps the frame axis last.
+    ``features.Pipeline`` checks that ``decay`` lies in [0, 1].
     """
-    if not 0.0 <= decay <= 1.0:
-        raise ConfigurationError(f"adapt_decay must lie in [0, 1], got {decay}")
     run_m = frames.mean(axis=2)
     run_v = frames.var(axis=2)
     for i in range(1, run_m.shape[1]):

@@ -38,11 +38,6 @@ class ConfusionMatrix:
         percent = np.asarray(percent, dtype=np.float64)
         return ConfusionMatrix(None, percent, [])
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.counts is None or other.counts is None:
-            raise ConfigurationError("can only merge count-backed matrices")
-        return ConfusionMatrix.from_counts(self.counts + other.counts)
-
 
 @dataclass
 class MetricsReport:

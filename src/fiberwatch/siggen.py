@@ -10,6 +10,7 @@ including the seed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -164,10 +165,6 @@ def generate_stream(profile: ClassProfile, duration_s: float, channels: int,
     return IntensityStream(out)
 
 
-def apply_overrides(profile: ClassProfile, overrides) -> ClassProfile:
-    return replace(profile, **dict(overrides)) if overrides else profile
-
-
 def ground_truth(spec: ScenarioSpec, cfg: FrameShaperConfig) -> list[GroundTruthEvent]:
     """Frame-index spans of the injected events: frames fully inside the span."""
     truth = []
@@ -194,8 +191,7 @@ def render_scenario(spec: ScenarioSpec, cfg: FrameShaperConfig | None = None,
     stream = generate_stream(spec.background, spec.duration_s, spec.channel_count,
                              seed=spec.seed)
     for idx, ev in enumerate(spec.events):
-        base = profiles[ev.class_id]
-        prof = apply_overrides(base, ev.overrides)
+        prof = replace(profiles[ev.class_id], **dict(ev.overrides))
         dur = ev.end_s - ev.start_s
         n_ch = ev.chan_hi - ev.chan_lo + 1
         event_stream = generate_stream(prof, dur, n_ch, seed=spec.seed * 1000003 + idx + 1)
@@ -223,10 +219,7 @@ class DatasetManifest:
     seed: int
 
     def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            counts[e.class_id] = counts.get(e.class_id, 0) + 1
-        return counts
+        return dict(Counter(e.class_id for e in self.entries))
 
 
 def _class_scenario(class_id: int, profiles, frames_needed: int, channels: int,

@@ -23,12 +23,13 @@ from __future__ import annotations
 import copy
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import CLASS_COUNT
-from .errors import ConfigurationError, NonFiniteGradientError
+from .errors import ConfigurationError, NonFiniteGradientError, NumericError
 
 MAGIC = b"FWNET1\n"
 
@@ -91,38 +92,18 @@ class NetworkSpec:
     n_classes: int = CLASS_COUNT
 
     def to_dict(self) -> dict:
-        out = {"input_shape": list(self.input_shape), "n_classes": self.n_classes,
-               "layers": []}
-        for l in self.layers:
-            d = {"kind": l.kind}
-            if l.kind == "conv":
-                d.update(kernel=list(l.kernel), channels=l.channels, stride=l.stride)
-            elif l.kind == "pool":
-                d.update(window=list(l.window))
-            elif l.kind == "dropout":
-                d.update(rate=l.rate)
-            elif l.kind == "dense":
-                d.update(width=l.width)
-            out["layers"].append(d)
-        return out
+        return {"input_shape": list(self.input_shape), "n_classes": self.n_classes,
+                "layers": [{"kind": l.kind, **asdict(l)} for l in self.layers]}
 
     @staticmethod
     def from_dict(d: dict) -> "NetworkSpec":
         layers = []
         for ld in d["layers"]:
-            kind = ld["kind"]
-            if kind == "conv":
-                layers.append(ConvSpec(tuple(ld["kernel"]), ld["channels"], ld.get("stride", 1)))
-            elif kind == "pool":
-                layers.append(PoolSpec(tuple(ld["window"])))
-            elif kind == "relu":
-                layers.append(ReluSpec())
-            elif kind == "dropout":
-                layers.append(DropoutSpec(ld["rate"]))
-            elif kind == "dense":
-                layers.append(DenseSpec(ld["width"]))
-            else:
-                raise ConfigurationError(f"unknown layer kind {kind!r}")
+            if ld["kind"] not in _SPEC_KINDS:
+                raise ConfigurationError(f"unknown layer kind {ld['kind']!r}")
+            layers.append(_SPEC_KINDS[ld["kind"]](**{
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in ld.items() if k != "kind"}))
         return NetworkSpec(tuple(d["input_shape"]), tuple(layers), d.get("n_classes", CLASS_COUNT))
 
 
@@ -348,10 +329,6 @@ class Network:
         out.extend(self.head.params())
         return out
 
-    @property
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.parameters()))
-
     def forward_batch(self, x: np.ndarray, train: bool = False, rng=None):
         """Returns (probs (B, n_classes), logits, caches)."""
         x = np.asarray(x, dtype=self.dtype)
@@ -487,16 +464,33 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise ConfigurationError(f"{path}: not a network checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+    """Read a checkpoint written by ``save_checkpoint``.  A malformed or
+    truncated file raises ConfigurationError, non-finite parameters raise
+    NumericError."""
+    raw = Path(path).read_bytes()
+    if not raw.startswith(MAGIC):
+        raise ConfigurationError(f"{path}: not a network checkpoint")
+    try:
+        (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+        pos = len(MAGIC) + 4 + hlen
+        header = json.loads(raw[pos - hlen:pos])
+        if header["dtype"] not in ("float32", "float64"):
+            raise ConfigurationError(f"unsupported dtype {header['dtype']!r}")
         net = Network(NetworkSpec.from_dict(header["spec"]), seed=0,
                       dtype=np.dtype(header["dtype"]))
-        for p, shape in zip(net.parameters(), header["shapes"]):
-            if list(p.shape) != shape:
-                raise ConfigurationError(f"{path}: shape mismatch in payload")
-            raw = fh.read(p.size * p.dtype.itemsize)
-            p[...] = np.frombuffer(raw, dtype=p.dtype.newbyteorder("<")).reshape(p.shape)
+        if [list(p.shape) for p in net.parameters()] != header["shapes"]:
+            raise ConfigurationError("tensor shapes do not match the layer spec")
+        for p in net.parameters():
+            if len(raw) < pos + p.nbytes:
+                raise ConfigurationError(f"payload truncated at {len(raw)} bytes")
+            p[...] = np.frombuffer(raw, p.dtype.newbyteorder("<"), p.size,
+                                   pos).reshape(p.shape)
+            pos += p.nbytes
+        if pos != len(raw):
+            raise ConfigurationError(f"{len(raw) - pos} bytes after the payload")
+    except (ValueError, TypeError, KeyError, IndexError, struct.error) as err:
+        detail = err if isinstance(err, ConfigurationError) else f"malformed ({err!r})"
+        raise ConfigurationError(f"{path}: {detail}") from err
+    if not all(np.isfinite(p).all() for p in net.parameters()):
+        raise NumericError(f"{path}: non-finite parameters")
     return net

@@ -106,19 +106,6 @@ def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,
     return tracks
 
 
-def rasterize_tracks(tracks, shape) -> DecisionMap:
-    """Paint track bounding boxes back onto an empty map (testing aid)."""
-    decisions = np.zeros(shape, dtype=np.int64)
-    scores = np.zeros(shape + (CLASS_COUNT,))
-    scores[..., 0] = 1.0
-    for t in tracks:
-        decisions[t.frame_begin:t.frame_end + 1, t.chan_lo:t.chan_hi + 1] = t.class_id
-        scores[t.frame_begin:t.frame_end + 1, t.chan_lo:t.chan_hi + 1, :] = 0.0
-        scores[t.frame_begin:t.frame_end + 1, t.chan_lo:t.chan_hi + 1, t.class_id] = \
-            t.mean_confidence
-    return DecisionMap(decisions, scores)
-
-
 # ---------------------------------------------------------------------------
 # Error-budget calibration
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +19,12 @@ import numpy as np
 from . import CLASS_COUNT
 from .errors import (ConfigurationError, DivergenceError, MissingDataError,
                      NonFiniteGradientError)
-from .features import FeatureConfig, blobs_from_windows, fit_normalizer, standardize
+from .features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
+                       fit_normalizer, standardize)
 from .framing import (FrameShaperConfig, adapt_frames, frame_count, frame_matrix,
                       primary_filter)
 from .siggen import DatasetManifest, load_stream, render_scenario
-from .tensornet import Network, sgd_step
+from .tensornet import Network, reference_member_specs, sgd_step
 from .ensemble import EnsembleModel, predict_fused, threshold_decide
 
 
@@ -173,6 +174,41 @@ def relabel_dataset(model: EnsembleModel, blobs: np.ndarray, labels: np.ndarray,
     return np.where(flip, decided, labels), changes
 
 
+def train_ensemble(train_set, test_set, normalizer: NormalizerStats, pipeline: Pipeline,
+                   cfg: TrainConfig, threshold: float,
+                   relabel_confidence: float | None = None):
+    """Train the reference members C1-C3 (member j seeded ``cfg.seed + j``).
+
+    With ``relabel_confidence`` set, the trained ensemble then relabels the
+    training set, and if any label changed, each member trains on for a
+    quarter of the epochs at half the rate (seed ``cfg.seed + 100 + j``).
+    Returns (model, per-member histories, relabel changes).
+    """
+    specs = reference_member_specs((pipeline.features.subwindows,
+                                    pipeline.features.feature_dim))
+    members, histories = [], []
+    for j, spec in enumerate(specs):
+        best, history = train_member(Network(spec, seed=cfg.seed + j), train_set,
+                                     test_set, replace(cfg, seed=cfg.seed + j))
+        members.append(best)
+        histories.append(history)
+    thresholds = np.full((3, CLASS_COUNT), threshold)
+    model = EnsembleModel(members, thresholds, normalizer, pipeline)
+    changes = []
+    if relabel_confidence is not None:
+        x_train, y_train = train_set
+        new_labels, changes = relabel_dataset(model, x_train, y_train, thresholds[0],
+                                              relabel_confidence)
+        if changes:
+            for j in range(3):
+                tc = replace(cfg, epochs=max(1, cfg.epochs // 4), lr=cfg.lr / 2,
+                             seed=cfg.seed + 100 + j)
+                model.members[j], history = train_member(
+                    model.members[j], (x_train, new_labels), test_set, tc)
+                histories[j].records.extend(history.records)
+    return model, histories, changes
+
+
 def write_relabel_report(changes, path) -> None:
     with open(path, "w") as fh:
         for c in changes:
@@ -237,16 +273,13 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
                     cells=None) -> tuple[np.ndarray, list]:
     """Filter, frame, adapt, and featurize a stream.
 
+    The arguments are the parts of one ``Pipeline``, which checks them.
     ``cells`` restricts output to the given (frame, channel) pairs; None
     produces every frame of every channel, channel by channel.  Returns
-    (blob stack, cells).  Sub-windows that do not divide the frame raise
-    ConfigurationError; a stream shorter than one frame raises
+    (blob stack, cells).  A stream shorter than one frame raises
     MissingDataError.
     """
-    if fr_cfg.frame_size % ft_cfg.subwindows:
-        raise ConfigurationError(
-            f"frame size {fr_cfg.frame_size} not divisible by "
-            f"{ft_cfg.subwindows} subwindows")
+    Pipeline(fr_cfg, band, adapt_decay, ft_cfg)
     if frame_count(stream.sample_count, fr_cfg) == 0:
         raise MissingDataError(
             f"stream holds {stream.sample_count} samples per channel, "
@@ -263,46 +296,47 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     return blobs, cells
 
 
-def stream_scores(stream, model: EnsembleModel, fr_cfg: FrameShaperConfig,
-                  ft_cfg: FeatureConfig, adapt_decay: float = 0.05,
-                  band=(5.0, 800.0), fusion: str = "l2") -> np.ndarray:
+def stream_scores(stream, model: EnsembleModel, fusion: str = "l2") -> np.ndarray:
     """Fused score grid (n_frames, channels, CLASS_COUNT) of a whole stream,
-    standardized by the model's normalizer and clipped at ``ft_cfg.clip``."""
-    blobs, _ = stream_features(stream, fr_cfg, ft_cfg, adapt_decay, band)
-    fused = predict_fused(model, standardize(blobs, model.normalizer, ft_cfg.clip),
+    through the model's pipeline and normalizer."""
+    p = model.pipeline
+    blobs, _ = stream_features(stream, p.framing, p.features, p.adapt_decay, p.band)
+    fused = predict_fused(model, standardize(blobs, model.normalizer, p.features.clip),
                           fusion)
     # Cells run channel by channel, so the rows are (channel, frame) major.
     grid = fused.reshape(stream.channel_count, -1, CLASS_COUNT).swapaxes(0, 1)
     return np.ascontiguousarray(grid)
 
 
-def _entry_features(entries, stream_of, fr_cfg: FrameShaperConfig,
-                    ft_cfg: FeatureConfig, adapt_decay: float, band):
+def _entry_features(entries, stream_of, framing: FrameShaperConfig, p: Pipeline):
     """Blobs, labels and splits of (scenario, frame, channel, class, split)
-    entries; ``stream_of(scenario)`` gives each scenario's stream once."""
+    entries; ``stream_of(scenario)`` gives each scenario's stream once, cut
+    into frames as ``framing`` says, which must be the pipeline's."""
+    if framing != p.framing:
+        raise ConfigurationError(
+            f"the dataset has frames of {framing.frame_size} samples at overlap "
+            f"{framing.overlap_factor}, the configuration {p.framing.frame_size} "
+            f"at {p.framing.overlap_factor}")
     by_scenario: dict[str, list] = {}
     for i, e in enumerate(entries):
         by_scenario.setdefault(e[0], []).append(i)
-    blobs = np.empty((len(entries), ft_cfg.subwindows, ft_cfg.feature_dim))
+    blobs = np.empty((len(entries), p.features.subwindows, p.features.feature_dim))
     for sid, idxs in sorted(by_scenario.items()):
         cells = [entries[i][1:3] for i in idxs]
-        blobs[idxs], _ = stream_features(stream_of(sid), fr_cfg, ft_cfg,
-                                         adapt_decay, band, cells)
+        blobs[idxs], _ = stream_features(stream_of(sid), p.framing, p.features,
+                                         p.adapt_decay, p.band, cells)
     labels = np.array([e[3] for e in entries], dtype=np.int64)
     splits = np.array([e[4] for e in entries], dtype=object)
     return blobs, labels, splits
 
 
-def load_dataset_features(dataset_dir, ft_cfg: FeatureConfig | None = None,
-                          adapt_decay: float = 0.05, band=(5.0, 800.0)):
+def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline()):
     """Blobs and labels for every manifest entry of a saved dataset.
 
     Returns (blobs, labels, splits) aligned arrays; blobs are raw feature
     values, not yet standardized.
     """
     root = Path(dataset_dir)
-    if not (root / "meta.json").exists():
-        raise FileNotFoundError(f"{root}: missing meta.json")
     meta = json.loads((root / "meta.json").read_text())
     fr_cfg = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
     with open(root / "manifest.jsonl") as fh:
@@ -313,12 +347,10 @@ def load_dataset_features(dataset_dir, ft_cfg: FeatureConfig | None = None,
         return load_stream(root / "scenarios" / f"{sid}.i16",
                            meta["scenarios"][sid]["channels"])
 
-    return _entry_features(entries, stream_of, fr_cfg, ft_cfg or FeatureConfig(),
-                           adapt_decay, band)
+    return _entry_features(entries, stream_of, fr_cfg, pipeline)
 
 
-def manifest_features(manifest: DatasetManifest, ft_cfg: FeatureConfig | None = None,
-                      adapt_decay: float = 0.05, band=(5.0, 800.0)):
+def manifest_features(manifest: DatasetManifest, pipeline: Pipeline = Pipeline()):
     """Like load_dataset_features but renders scenarios in memory."""
     entries = [(e.scenario_id, e.frame_index, e.channel, e.class_id, e.split)
                for e in manifest.entries]
@@ -326,14 +358,12 @@ def manifest_features(manifest: DatasetManifest, ft_cfg: FeatureConfig | None = 
     def stream_of(sid):
         return render_scenario(manifest.scenarios[sid], manifest.framing)[0]
 
-    return _entry_features(entries, stream_of, manifest.framing,
-                           ft_cfg or FeatureConfig(), adapt_decay, band)
+    return _entry_features(entries, stream_of, manifest.framing, pipeline)
 
 
-def standardized_sets(blobs, labels, splits, ft_cfg: FeatureConfig | None = None):
+def standardized_sets(blobs, labels, splits, clip: float = FeatureConfig.clip):
     """Fit the normalizer on the training split and standardize both splits."""
-    ft_cfg = ft_cfg or FeatureConfig()
     train_mask = splits == "train"
     stats = fit_normalizer(blobs[train_mask])
-    return (standardize(blobs[train_mask], stats, ft_cfg.clip), labels[train_mask]), \
-           (standardize(blobs[~train_mask], stats, ft_cfg.clip), labels[~train_mask]), stats
+    return (standardize(blobs[train_mask], stats, clip), labels[train_mask]), \
+           (standardize(blobs[~train_mask], stats, clip), labels[~train_mask]), stats

@@ -14,7 +14,6 @@ import pytest
 from fiberwatch import cli, embedding, ensemble, framing, metrics, siggen
 from fiberwatch import tensornet, tracker, training
 from fiberwatch.archsearch import DEConfig, de_optimize
-from fiberwatch.features import FeatureConfig
 from fiberwatch.tensornet import (ConvSpec, DenseSpec, DropoutSpec, Network,
                                   NetworkSpec, PoolSpec, ReluSpec)
 
@@ -67,7 +66,7 @@ def trained_pipeline():
         best, history = training.train_member(net, (x_tr, y_tr), (x_te, y_te), cfg)
         members.append(best)
         best_accs.append(max(r.test_accuracy for r in history.records))
-    model = ensemble.EnsembleModel(members, ensemble.default_thresholds(), stats)
+    model = ensemble.EnsembleModel(members, np.full((3, 7), 0.5), stats)
     return {
         "model": model,
         "train": (x_tr, y_tr),
@@ -291,13 +290,11 @@ class TestCriterion9:
 class TestCriterion10:
     def test_single_event_recovered_background_silent(self, trained_pipeline):
         model = trained_pipeline["model"]
-        fr_cfg = framing.FrameShaperConfig()
-        ft_cfg = FeatureConfig()
         profiles = siggen.default_profiles()
 
         def decision_map_for(spec):
-            stream, truth = siggen.render_scenario(spec, fr_cfg)
-            grid = training.stream_scores(stream, model, fr_cfg, ft_cfg)
+            stream, truth = siggen.render_scenario(spec, model.pipeline.framing)
+            grid = training.stream_scores(stream, model)
             return tracker.build_decision_map(grid, np.full(7, 0.5)), truth
 
         event = siggen.EventSpec(6, 10.0, 20.0, 5, 7)

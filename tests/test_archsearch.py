@@ -2,11 +2,29 @@ import numpy as np
 import pytest
 
 from fiberwatch.archsearch import (DEConfig, SearchSpace, architecture_fitness,
-                                   decode_genome, de_optimize, encode_spec,
-                                   fitness_eval)
+                                   decode_genome, de_optimize, fitness_eval)
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
 from fiberwatch.training import TrainConfig
+
+
+def encode_spec(spec: NetworkSpec, cfg: TrainConfig, space: SearchSpace) -> np.ndarray:
+    """Inverse of decode_genome for admissible specs (grid points)."""
+    b = space.bounds()
+    g = b[:, 0].copy()
+    convs = [l for l in spec.layers if l.kind == "conv"]
+    g[0] = len(convs)
+    for i, c in enumerate(convs):
+        g[1 + 2 * i] = c.kernel[0]
+        g[2 + 2 * i] = c.channels
+    dense_idx = 1 + 2 * space.max_convs
+    denses = [l for l in spec.layers if l.kind == "dense"]
+    g[dense_idx] = denses[0].width
+    drops = [l for l in spec.layers if l.kind == "dropout"]
+    g[dense_idx + 1] = drops[0].rate if drops else 0.0
+    g[dense_idx + 2] = np.log10(cfg.lr)
+    g[dense_idx + 3] = np.log10(cfg.weight_decay)
+    return g
 
 
 def sphere(x):

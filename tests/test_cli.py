@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberwatch.cli import (EXIT_CONFIG, EXIT_MISSING, load_config,
-                            merged_config, run, validate_config)
+from fiberwatch import siggen
+from fiberwatch.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISSING, EXIT_NUMERIC,
+                            load_config, merged_config, run, validate_config)
 from fiberwatch.ensemble import EnsembleModel, save_ensemble
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.features import NormalizerStats
@@ -96,6 +98,25 @@ class TestGenCommand:
     def test_missing_config_exits_3(self, tmp_path):
         assert run(["--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path / "x"), "gen"]) == EXIT_MISSING
+
+    def test_output_path_that_is_a_file_is_no_missing_input(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["--config", str(write_config(tmp_path)), "--out", str(out),
+                    "gen"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("input/output error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("error", [PermissionError(errno.EACCES, "Permission denied"),
+                                       OSError(errno.ENOSPC, "No space left on device")])
+    def test_failed_write_is_no_missing_input(self, tmp_path, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(siggen, "save_dataset", fail)
+        assert run(["--config", str(write_config(tmp_path)), "--out",
+                    str(tmp_path / "ds"), "gen"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("input/output error:") and len(err.splitlines()) == 1
 
 
 class TestEvalCommand:
@@ -199,19 +220,114 @@ class TestBadConfigValues:
         assert one_config_error_line(capsys, "thresholds")
 
 
-class TestBenchCommand:
-    def test_bench_reports_throughput(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, bench={"frames": 40, "repeats": 2})
-        out = tmp_path / "bench"
-        assert run(["--config", str(cfg), "--out", str(out), "bench"]) == 0
-        result = json.loads((out / "bench.json").read_text())
-        assert result["frames"] == 40
-        assert result["single_worker"]["frames_per_s"] > 0
-        assert "ms_per_frame" in result["single_worker"]
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_dataset")
+    cfg = write_config(root)
+    assert run(["--config", str(cfg), "--out", str(root / "ds"), "gen"]) == 0
+    return root / "ds"
 
-    def test_bench_multi_worker(self, tmp_path):
-        cfg = write_config(tmp_path, bench={"frames": 24, "repeats": 1}, workers=2)
-        out = tmp_path / "bench"
-        assert run(["--config", str(cfg), "--out", str(out), "bench"]) == 0
-        result = json.loads((out / "bench.json").read_text())
-        assert result["multi_worker"]["workers"] == 2
+
+def evaluate(tmp_path, dataset, model, *config):
+    return run([*config, "--out", str(tmp_path / "eval"), "eval", "--data", str(dataset),
+                "--model", str(model)])
+
+
+def config_file(tmp_path, doc) -> str:
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestModelPipeline:
+    STREAM = np.ones(2 * 5000, "<i2").tobytes()
+
+    def test_descriptor_carries_the_pipeline(self, model):
+        desc = json.loads(model.read_text())
+        assert desc["pipeline"]["features"]["clip"] == 8.0
+        assert desc["pipeline"]["framing"]["adapt_decay"] == 0.05
+
+    def test_infer_with_other_clip_exits_2(self, tmp_path, capsys, model):
+        cfg = config_file(tmp_path, {"features": {"clip": 2.0}})
+        assert infer(tmp_path, model, self.STREAM, 2, "--config", cfg) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "features.clip is 2.0 here, 8.0 in the model")
+        assert not (tmp_path / "infer" / "scores.npz").exists()
+
+    def test_eval_with_other_adapt_decay_exits_2(self, tmp_path, capsys, dataset, model):
+        cfg = config_file(tmp_path, {"framing": {"adapt_decay": 0.1}})
+        assert evaluate(tmp_path, dataset, model, "--config", cfg) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "framing.adapt_decay")
+
+    def test_train_with_other_frame_size_exits_2(self, tmp_path, capsys, dataset):
+        cfg = config_file(tmp_path, {"framing": {"frame_size": 1024}})
+        code = run(["--config", cfg, "--out", str(tmp_path / "train"), "train",
+                    "--data", str(dataset)])
+        assert code == EXIT_CONFIG
+        assert one_config_error_line(capsys, "frames of 2048 samples")
+
+    @pytest.fixture
+    def bare_model(self, model):
+        desc = json.loads(model.read_text())
+        del desc["normalizer"]
+        model.write_text(json.dumps(desc))
+        return model
+
+    def test_infer_without_normalizer_exits_2(self, tmp_path, capsys, bare_model):
+        assert infer(tmp_path, bare_model, self.STREAM, 2) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "no normalizer")
+
+    def test_eval_without_normalizer_exits_2(self, tmp_path, capsys, dataset, bare_model):
+        assert evaluate(tmp_path, dataset, bare_model) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "no normalizer")
+
+    def test_descriptor_without_pipeline_scores_with_defaults(self, tmp_path, model):
+        assert infer(tmp_path, model, self.STREAM, 2) == 0
+        before = np.load(tmp_path / "infer" / "scores.npz")["fused"]
+        desc = json.loads(model.read_text())
+        del desc["pipeline"]
+        model.write_text(json.dumps(desc))
+        assert infer(tmp_path, model, self.STREAM, 2) == 0
+        assert np.array_equal(np.load(tmp_path / "infer" / "scores.npz")["fused"], before)
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, model):
+        member = model.with_suffix(".c2.net")
+        member.write_bytes(member.read_bytes()[:-5])
+        assert infer(tmp_path, model, self.STREAM, 2) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "truncated")
+
+
+def track(tmp_path, scores) -> int:
+    return run(["--out", str(tmp_path / "track"), "track", "--scores", str(scores)])
+
+
+class TestTrackMalformedScores:
+    @pytest.mark.parametrize("payload", [b"fused", b"PK\x03\x04 not really a zip"])
+    def test_not_an_npz_exits_2(self, tmp_path, capsys, payload):
+        scores = tmp_path / "scores.npz"
+        scores.write_bytes(payload)
+        assert track(tmp_path, scores) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "scores.npz")
+
+    def test_missing_fused_array_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, decisions=np.zeros((6, 4), dtype=np.int64))
+        assert track(tmp_path, scores) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "'fused'")
+
+    @pytest.mark.parametrize("shape", [(6, 4), (6, 4, 5), (6, 4, 7, 1)])
+    def test_wrong_shape_exits_2(self, tmp_path, capsys, shape):
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=np.full(shape, 0.5))
+        assert track(tmp_path, scores) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "shape")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_exit_4(self, tmp_path, capsys, rng, bad):
+        fused = rng.dirichlet(np.ones(7), size=(6, 4))
+        fused[2, 1, 3] = bad
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=fused)
+        assert track(tmp_path, scores) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "not all finite" in err
+        assert len(err.strip().splitlines()) == 1

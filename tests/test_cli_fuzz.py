@@ -1,0 +1,113 @@
+"""Corrupted model descriptors, member checkpoints and score files must end
+with a documented exit code and, when non-zero, one line on stderr."""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fiberwatch.cli import run
+from fiberwatch.ensemble import EnsembleModel, save_ensemble
+from fiberwatch.features import NormalizerStats
+from fiberwatch.tensornet import Network, reference_member_specs
+
+EXIT_CODES = {0, 2, 3, 4}
+FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
+    model = save_ensemble(EnsembleModel(members, np.full((3, 7), 0.5),
+                                        NormalizerStats(np.zeros(64), np.ones(64))),
+                          root / "model" / "ensemble.json")
+    stream = root / "stream.i16"
+    stream.write_bytes(np.random.default_rng(0).normal(0, 300, 2 * 3100)
+                       .astype("<i2").tobytes())
+    scores = root / "scores.npz"
+    np.savez(scores, fused=np.random.default_rng(1).dirichlet(np.ones(7), size=(5, 3)))
+    return {"root": root, "model": model, "stream": stream, "scores": scores,
+            "checkpoint": model.with_suffix(".c2.net")}
+
+
+def run_captured(argv):
+    """Exit code and stderr of one CLI run; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def corrupt(raw: bytes, mode: str, at: int, byte: int) -> bytes:
+    at %= len(raw) + 1
+    if mode == "truncate":
+        return raw[:at]
+    if mode == "insert":
+        return raw[:at] + bytes([byte]) + raw[at:]
+    at = min(at, len(raw) - 1)
+    return raw[:at] + bytes([raw[at] ^ (byte or 1)]) + raw[at + 1:]
+
+
+json_values = st.one_of(st.none(), st.booleans(), st.integers(-10, 10 ** 6),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.text(max_size=4), st.lists(st.integers(-2, 9), max_size=3))
+
+
+def replace_leaf(doc, path: list[int], value):
+    """Replace the value that ``path`` steers to (each step picks a child)."""
+    node = doc
+    for step in path:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = list(keys)[step % len(keys)]
+        if not isinstance(node[key], (dict, list)) or not node[key]:
+            node[key] = value
+            return doc
+        node = node[key]
+    return doc
+
+
+def assert_clean(code: int, err: str):
+    assert code in EXIT_CODES, err
+    assert "Traceback" not in err
+    if code:
+        assert len(err.strip().splitlines()) == 1, err
+
+
+def infer_argv(files):
+    return ["--out", files["root"] / "infer", "infer", "--stream", files["stream"],
+            "--channels", 2, "--model", files["model"]]
+
+
+@FUZZ
+@given(target=st.sampled_from(["model", "checkpoint", "scores"]),
+       mode=st.sampled_from(["flip", "truncate", "insert"]),
+       at=st.integers(0, 400) | st.integers(0, 10 ** 7), byte=st.integers(0, 255))
+def test_corrupted_bytes_end_cleanly(files, target, mode, at, byte):
+    path = files[target]
+    pristine = path.read_bytes()
+    try:
+        path.write_bytes(corrupt(pristine, mode, at, byte))
+        argv = (["--out", files["root"] / "track", "track", "--scores", path]
+                if target == "scores" else infer_argv(files))
+        assert_clean(*run_captured(argv))
+    finally:
+        path.write_bytes(pristine)
+
+
+@FUZZ
+@given(path=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
+       value=json_values)
+def test_mistyped_descriptor_entries_end_cleanly(files, path, value):
+    model = files["model"]
+    pristine = model.read_text()
+    try:
+        model.write_text(json.dumps(replace_leaf(json.loads(pristine), path, value)))
+        assert_clean(*run_captured(infer_argv(files)))
+    finally:
+        model.write_text(pristine)

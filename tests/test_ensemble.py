@@ -1,13 +1,19 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from fiberwatch.errors import ConfigurationError
-from fiberwatch.ensemble import (EnsembleModel, default_thresholds, fuse,
-                                 load_ensemble, predict_fused, save_ensemble,
-                                 threshold_decide, vote_two_of_three)
-from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec
+from fiberwatch.ensemble import (EnsembleModel, fuse, load_ensemble, predict_fused,
+                                 save_ensemble, threshold_decide, vote_two_of_three)
+from fiberwatch.features import FeatureConfig, NormalizerStats, Pipeline
+from fiberwatch.framing import FrameShaperConfig
+from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, save_checkpoint
+
+
+def default_thresholds():
+    return np.full((3, 7), 0.5)
 
 
 def random_prob_vector(rng):
@@ -202,10 +208,69 @@ class TestEnsembleModel:
         assert np.array_equal(predict_fused(model, blobs, "max_confidence"), probs)
 
     def test_checkpoint_round_trip(self, tmp_path, rng):
-        model = EnsembleModel(tiny_members(seed=5), default_thresholds())
+        pipeline = Pipeline(FrameShaperConfig(1024, 4), (8.0, 600.0), 0.1,
+                            FeatureConfig(subwindows=4, bank_bands=2, clip=3.0))
+        normalizer = NormalizerStats(rng.normal(size=6), rng.uniform(0.5, 2.0, 6), 1e-6)
+        model = EnsembleModel(tiny_members(seed=5), default_thresholds(), normalizer,
+                              pipeline)
         path = save_ensemble(model, tmp_path / "ens.json")
         back = load_ensemble(path)
         blobs = rng.normal(size=(2, 4, 4))
         for a, b in zip(model.members, back.members):
             assert np.array_equal(a.forward_batch(blobs)[0], b.forward_batch(blobs)[0])
         assert np.array_equal(back.thresholds, model.thresholds)
+        assert np.array_equal(back.normalizer.mean, normalizer.mean)
+        assert np.array_equal(back.normalizer.std, normalizer.std)
+        assert back.normalizer.std_eps == normalizer.std_eps
+        assert back.pipeline == pipeline
+
+
+class TestDescriptorFile:
+    @pytest.fixture
+    def path(self, tmp_path):
+        model = EnsembleModel(tiny_members(), default_thresholds(),
+                              NormalizerStats(np.zeros(64), np.ones(64)))
+        return save_ensemble(model, tmp_path / "ens.json")
+
+    def test_missing_sections_load_as_defaults(self, path):
+        desc = json.loads(path.read_text())
+        del desc["pipeline"], desc["normalizer"]
+        path.write_text(json.dumps(desc))
+        back = load_ensemble(path)
+        assert back.pipeline == Pipeline() and back.normalizer is None
+
+    def test_not_json_rejected(self, path):
+        path.write_bytes(b'{"members": [\xff')
+        with pytest.raises(ConfigurationError, match="ens.json"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("members", None), ("members", "ens.c1.net"), ("members", [1, 2, 3]),
+        ("members", ["ens.c1.net", "ens.c2.net"]),
+        ("thresholds", None), ("thresholds", "0.5"), ("thresholds", [[0.5] * 7] * 2),
+        ("thresholds", [[float("nan")] * 7] * 3),
+        ("normalizer", [0.0] * 64), ("normalizer", {"mean": [0.0] * 64}),
+        ("normalizer", {"mean": [0.0] * 63, "std": [1.0] * 63}),
+        ("normalizer", {"mean": [0.0] * 64, "std": [0.0] * 64}),
+        ("normalizer", {"mean": ["a"] * 64, "std": [1.0] * 64}),
+        ("pipeline", "none"), ("pipeline", {"framing": {}}),
+        ("pipeline", {"framing": Pipeline().to_dict()["framing"],
+                      "features": {**Pipeline().to_dict()["features"], "clip": "8"}}),
+        ("pipeline", {"framing": {**Pipeline().to_dict()["framing"], "frame_size": 100},
+                      "features": Pipeline().to_dict()["features"]}),
+    ])
+    def test_missing_or_mistyped_entry_rejected(self, path, key, value):
+        desc = json.loads(path.read_text())
+        if value is None:
+            del desc[key]
+        else:
+            desc[key] = value
+        path.write_text(json.dumps(desc))
+        with pytest.raises(ConfigurationError, match="ens.json"):
+            load_ensemble(path)
+
+    def test_member_scoring_other_class_count_rejected(self, path):
+        spec = NetworkSpec((4, 4), (DenseSpec(5),), n_classes=5)
+        save_checkpoint(Network(spec), path.with_suffix(".c3.net"))
+        with pytest.raises(ConfigurationError, match="7 classes"):
+            load_ensemble(path)

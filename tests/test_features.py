@@ -3,9 +3,10 @@ import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.errors import ConfigurationError
-from fiberwatch.features import (POWER_FLOOR, FeatureConfig, NormalizerStats,
+from fiberwatch.features import (POWER_FLOOR, FeatureConfig, NormalizerStats, Pipeline,
                                  _band_matrix, blobs_from_windows, fit_normalizer,
                                  standardize)
+from fiberwatch.framing import FrameShaperConfig
 
 NB = FeatureConfig().bank_bands
 
@@ -208,3 +209,49 @@ class TestNormalizer:
     def test_needs_two_rows(self):
         with pytest.raises(ConfigurationError):
             fit_normalizer([np.zeros((1, 64))[:0]])
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("decay", [-3.0, -1e-9, 1.5, float("nan")])
+    def test_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ConfigurationError, match="adapt_decay"):
+            Pipeline(adapt_decay=decay)
+
+    @pytest.mark.parametrize("subwindows", [0, 7, 3000])
+    def test_subwindows_must_divide_frame(self, subwindows):
+        with pytest.raises(ConfigurationError, match=f"not divisible by {subwindows}"):
+            Pipeline(features=FeatureConfig(subwindows=subwindows))
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+    def test_clip_must_be_positive(self, clip):
+        with pytest.raises(ConfigurationError, match="clip"):
+            Pipeline(features=FeatureConfig(clip=clip))
+
+    def test_dict_round_trip_uses_config_sections(self):
+        p = Pipeline(FrameShaperConfig(1024, 4), (10.0, 700.0), 0.2,
+                     FeatureConfig(subwindows=8, clip=3.0))
+        doc = p.to_dict()
+        assert doc["framing"] == {"frame_size": 1024, "overlap_factor": 4,
+                                  "band_lo_hz": 10.0, "band_hi_hz": 700.0,
+                                  "adapt_decay": 0.2}
+        assert doc["features"]["subwindows"] == 8 and doc["features"]["clip"] == 3.0
+        assert Pipeline.from_dict({**doc, "seed": 3}) == p
+        assert Pipeline.from_dict(Pipeline().to_dict()) == Pipeline()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("framing", "frame_size", 2048.0),
+        ("framing", "overlap_factor", True),
+        ("features", "clip", "8"),
+        ("features", "subwindows", None),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, section, key, value):
+        doc = Pipeline().to_dict()
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            Pipeline.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], {}, {"framing": {}, "features": {}},
+                                     {"framing": Pipeline().to_dict()["framing"]}])
+    def test_from_dict_rejects_missing_sections_and_keys(self, doc):
+        with pytest.raises(ConfigurationError):
+            Pipeline.from_dict(doc)

@@ -77,14 +77,6 @@ class TestConfusion:
         cm = confusion(preds, refs)
         assert np.all(np.abs(cm.percent - 100.0 / 7.0) < 0.5)
 
-    def test_merge_adds_counts(self, rng):
-        refs = rng.integers(0, 7, 200)
-        preds = rng.integers(0, 7, 200)
-        whole = confusion(preds, refs)
-        merged = confusion(preds[:100], refs[:100]).merge(
-            confusion(preds[100:], refs[100:]))
-        assert np.array_equal(whole.counts, merged.counts)
-
 
 class TestPrecisionF1:
     def test_reference_matrix_reproduces_published_rows(self):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from fiberwatch.errors import ConfigurationError, NonFiniteGradientError
+from fiberwatch.errors import ConfigurationError, NonFiniteGradientError, NumericError
 from fiberwatch.tensornet import (COLUMN_BUFFER_BYTES, ConvSpec, DenseSpec,
                                   DropoutSpec, Network, NetworkSpec, PoolSpec,
                                   ReluSpec, _Conv, _Pool, _Relu, gradient_check,
@@ -349,6 +351,51 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "member.net"
+        save_checkpoint(Network(small_spec(ConvSpec((3, 3), 4), DenseSpec(8)), seed=3), path)
+        return path
+
+    @pytest.mark.parametrize("keep", [0, 5, 9, 30, -1])
+    def test_truncated_file_rejected(self, saved, keep):
+        saved.write_bytes(saved.read_bytes()[:keep])
+        with pytest.raises(ConfigurationError, match="member.net"):
+            load_checkpoint(saved)
+
+    def test_truncated_payload_names_its_length(self, saved):
+        raw = saved.read_bytes()
+        saved.write_bytes(raw[:-3])
+        with pytest.raises(ConfigurationError, match=f"truncated at {len(raw) - 3} bytes"):
+            load_checkpoint(saved)
+
+    def test_trailing_bytes_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\0" * 8)
+        with pytest.raises(ConfigurationError, match="8 bytes after the payload"):
+            load_checkpoint(saved)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {**h, "dtype": "int16"},
+        lambda h: {**h, "shapes": h["shapes"][:-1]},
+        lambda h: {k: v for k, v in h.items() if k != "spec"},
+        lambda h: [h],
+    ])
+    def test_bad_header_rejected(self, saved, edit):
+        raw = saved.read_bytes()
+        hlen = int.from_bytes(raw[7:11], "little")
+        header = json.dumps(edit(json.loads(raw[11:11 + hlen]))).encode()
+        saved.write_bytes(raw[:7] + len(header).to_bytes(4, "little") + header
+                          + raw[11 + hlen:])
+        with pytest.raises(ConfigurationError, match="member.net"):
+            load_checkpoint(saved)
+
+    def test_non_finite_parameters_rejected(self, saved):
+        raw = bytearray(saved.read_bytes())
+        raw[-8:] = np.array([np.nan]).astype("<f8").tobytes()
+        saved.write_bytes(bytes(raw))
+        with pytest.raises(NumericError, match="non-finite"):
+            load_checkpoint(saved)
 
     def test_single_precision_round_trip(self, tmp_path, rng):
         net = Network(small_spec(ConvSpec((3, 3), 4), DenseSpec(8)), seed=13,

@@ -6,8 +6,20 @@ from fiberwatch.siggen import GroundTruthEvent
 from fiberwatch.tracker import (CalibrationTable, DecisionMap, ErrorBudget,
                                 SignalEventTrack, apply_error_budget,
                                 build_decision_map, calibrate_budget,
-                                glue_tracks, rasterize_tracks,
-                                track_matches_event)
+                                glue_tracks, track_matches_event)
+
+
+def rasterize_tracks(tracks, shape) -> DecisionMap:
+    """Paint track bounding boxes back onto an empty map."""
+    decisions = np.zeros(shape, dtype=np.int64)
+    scores = np.zeros(shape + (7,))
+    scores[..., 0] = 1.0
+    for t in tracks:
+        decisions[t.frame_begin:t.frame_end + 1, t.chan_lo:t.chan_hi + 1] = t.class_id
+        scores[t.frame_begin:t.frame_end + 1, t.chan_lo:t.chan_hi + 1, :] = 0.0
+        scores[t.frame_begin:t.frame_end + 1, t.chan_lo:t.chan_hi + 1, t.class_id] = \
+            t.mean_confidence
+    return DecisionMap(decisions, scores)
 
 
 def scores_from_decisions(decisions, confidence=0.9):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
-from fiberwatch.ensemble import EnsembleModel, default_thresholds, predict_fused
+from fiberwatch.ensemble import EnsembleModel, predict_fused
 from fiberwatch.errors import ConfigurationError, DivergenceError
-from fiberwatch.features import FeatureConfig, NormalizerStats, standardize
+from fiberwatch.features import FeatureConfig, NormalizerStats, Pipeline, standardize
 from fiberwatch.framing import FrameShaperConfig, IntensityStream
 from fiberwatch.siggen import DatasetManifest, ManifestEntry
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
@@ -116,7 +116,7 @@ class TestRelabel:
             cfg = TrainConfig(epochs=40, batch_size=16, lr=0.1, momentum=0.9, seed=j)
             best, _ = train_member(toy_net(seed=j), (x, y), (x, y), cfg)
             members.append(best)
-        return EnsembleModel(members, default_thresholds()), x, y
+        return EnsembleModel(members, np.full((3, 7), 0.5)), x, y
 
     def test_agreeing_labels_unchanged(self, rng):
         model, x, y = self.trained_model(rng)
@@ -248,12 +248,12 @@ class TestStreamPipeline:
     def test_score_grid_holds_each_cell_fused_vector(self, rng):
         stream = self.stream(rng)
         spec = NetworkSpec((16, 64), (DenseSpec(8),))
-        model = EnsembleModel([Network(spec, seed=j) for j in range(3)],
-                              default_thresholds(),
-                              NormalizerStats(np.full(64, 1.0), np.full(64, 2.0)))
         ft_cfg = FeatureConfig(clip=1.5)
-        grid = stream_scores(stream, model, FrameShaperConfig(), ft_cfg,
-                             fusion="max_confidence")
+        model = EnsembleModel([Network(spec, seed=j) for j in range(3)],
+                              np.full((3, 7), 0.5),
+                              NormalizerStats(np.full(64, 1.0), np.full(64, 2.0)),
+                              Pipeline(features=ft_cfg))
+        grid = stream_scores(stream, model, fusion="max_confidence")
         blobs, cells = stream_features(stream, FrameShaperConfig(), ft_cfg)
         fused = predict_fused(model, standardize(blobs, model.normalizer, 1.5),
                               "max_confidence")
