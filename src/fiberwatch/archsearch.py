@@ -10,7 +10,7 @@ never breaks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,9 +173,7 @@ def architecture_fitness(space: SearchSpace, train_set, test_set,
     """Fitness closure for de_optimize: negative short-budget accuracy."""
     def fn(genome: np.ndarray) -> float:
         spec, cfg = decode_genome(genome, space)
-        cfg = TrainConfig(epochs=epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                          momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                          seed=seed)
+        cfg = replace(cfg, epochs=epochs, seed=seed)
         return -fitness_eval(spec, cfg, train_set, test_set, seed=seed)
     return fn
 

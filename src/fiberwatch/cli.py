@@ -157,34 +157,47 @@ def cmd_train(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) 
     return 0
 
 
+def _stored_predictions(path, n_test: int) -> np.ndarray:
+    """The fused score vectors in the .npy file at ``path``: a finite
+    (n_test, CLASS_COUNT) array of numbers."""
+    with open(path, "rb") as fh:
+        try:
+            fused = np.load(fh)
+        except Exception as err:      # numpy raises many types on bad bytes
+            raise ConfigurationError(f"{path}: not a .npy array ({err!r})") from err
+    want = (n_test, CLASS_COUNT)
+    if not (isinstance(fused, np.ndarray) and fused.dtype.kind in "biuf"
+            and fused.shape == want):
+        got = (f"{fused.dtype} array of shape {fused.shape}"
+               if isinstance(fused, np.ndarray) else "an .npz archive")
+        raise ConfigurationError(f"{path}: holds {got}, expected a numeric array of "
+                                 f"shape {want}, one row per test frame")
+    if not np.isfinite(fused).all():
+        raise NumericError(f"{path}: stored predictions are not all finite")
+    return fused
+
+
 def cmd_eval(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str,
              model_path: str | None, predictions_path: str | None) -> int:
     if predictions_path is None and model_path is None:
         raise ConfigurationError("eval needs --model or --predictions")
     model = _load_model(pipeline, model_path) if predictions_path is None else None
-    blobs, labels, splits = training.load_dataset_features(data_dir, pipeline)
-    mask = splits == "test"
-    if not mask.any():
-        mask = np.ones(len(labels), dtype=bool)
-    y = labels[mask]
+    labels, splits = training.dataset_labels(data_dir, pipeline)
+    test = splits == "test"
+    if not test.any():
+        test[:] = True
+    y = labels[test]
 
     if predictions_path is not None:
-        fused = np.load(predictions_path)
-        if fused.shape[0] != y.shape[0]:
-            raise ConfigurationError("stored predictions do not match the test set size")
+        fused = _stored_predictions(predictions_path, y.shape[0])
     else:
-        x = features.standardize(blobs[mask], model.normalizer, pipeline.features.clip)
+        blobs, _, _ = training.load_dataset_features(data_dir, pipeline, test)
+        x = features.standardize(blobs, model.normalizer, pipeline.features.clip)
         fused = ensemble.predict_fused(model, x, cfg["ensemble"]["fusion"])
 
-    acc = metrics.accuracy(fused, training.one_hot(y))
     cm = metrics.confusion(np.argmax(fused, axis=1), y)
-    shares = np.bincount(y, minlength=CLASS_COUNT)
-    balanced = len(set(shares[shares > 0])) == 1
-    report = metrics.precision_f1(cm, balanced=True) if balanced else \
-        metrics.MetricsReport(np.diag(cm.percent).copy(),
-                              np.full(CLASS_COUNT, np.nan),
-                              np.full(CLASS_COUNT, np.nan))
-    report.accuracy = acc
+    report = metrics.precision_f1(cm)
+    report.accuracy = metrics.accuracy(fused, y)
     print(metrics.format_report(cm, report))
     (out / "metrics.json").write_text(report.to_json() + "\n")
     np.savetxt(out / "confusion_counts.csv", cm.counts, fmt="%d", delimiter=",")
@@ -293,7 +306,8 @@ def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: st
     tracks = tracker.glue_tracks(dmap, t["gap"], t["width"], t["min_duration"],
                                  t["min_area"])
     if calibration_path is not None:
-        table = tracker.CalibrationTable.from_json(Path(calibration_path).read_text())
+        table = tracker.CalibrationTable.from_json(Path(calibration_path).read_bytes(),
+                                                   calibration_path)
         budget = tracker.ErrorBudget(t["alpha"], t["beta"])
         reports = tracker.apply_error_budget(tracks, budget, table)
     else:

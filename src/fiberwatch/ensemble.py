@@ -23,7 +23,6 @@ from .tensornet import Network, load_checkpoint, save_checkpoint
 @dataclass
 class EnsembleModel:
     members: list[Network]                 # exactly C1, C2, C3 in order
-    thresholds: np.ndarray                 # (3, CLASS_COUNT), entries in (0, 1]
     normalizer: NormalizerStats | None = None
     pipeline: Pipeline = Pipeline()        # the preprocessing it was trained with
 
@@ -32,11 +31,6 @@ class EnsembleModel:
             raise ConfigurationError("ensemble needs exactly 3 members")
         if any(net.spec.n_classes != CLASS_COUNT for net in self.members):
             raise ConfigurationError(f"members must score {CLASS_COUNT} classes")
-        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        if self.thresholds.shape != (3, CLASS_COUNT):
-            raise ConfigurationError(f"thresholds must be 3 x {CLASS_COUNT}")
-        if not np.all((self.thresholds > 0) & (self.thresholds <= 1)):
-            raise ConfigurationError("thresholds must lie in (0, 1]")
         nz, dim = self.normalizer, self.pipeline.features.feature_dim
         if nz is not None and not (nz.mean.shape == nz.std.shape == (dim,)
                                    and np.all(np.isfinite(nz.mean))
@@ -110,7 +104,6 @@ def save_ensemble(model: EnsembleModel, path) -> Path:
         member_files.append(fname.name)
     desc = {
         "members": member_files,
-        "thresholds": model.thresholds.tolist(),
         "pipeline": model.pipeline.to_dict(),
     }
     if model.normalizer is not None:
@@ -126,8 +119,9 @@ def save_ensemble(model: EnsembleModel, path) -> Path:
 
 def load_ensemble(path) -> EnsembleModel:
     """Read a descriptor written by ``save_ensemble``; one without a
-    ``pipeline`` section gets the default ``Pipeline()``.  A malformed
-    descriptor raises ConfigurationError."""
+    ``pipeline`` section gets the default ``Pipeline()``, and a
+    ``thresholds`` entry, which older descriptors carry, is ignored.  A
+    malformed descriptor raises ConfigurationError."""
     path = Path(path)
     try:
         desc = json.loads(path.read_bytes())
@@ -142,8 +136,7 @@ def load_ensemble(path) -> EnsembleModel:
                                          np.array(nz["std"], dtype=np.float64),
                                          float(nz.get("std_eps", 1e-8)))
         pipeline = Pipeline.from_dict(desc.get("pipeline", Pipeline().to_dict()))
-        return EnsembleModel(members, np.array(desc["thresholds"], dtype=np.float64),
-                             normalizer, pipeline)
+        return EnsembleModel(members, normalizer, pipeline)
     except (ValueError, TypeError, KeyError, AttributeError) as err:
         detail = err if isinstance(err, ConfigurationError) else f"malformed ({err!r})"
         raise ConfigurationError(f"{path}: {detail}") from err

@@ -1,9 +1,8 @@
 """Accuracy, confusion matrix, and per-class precision/F1 reporting.
 
 The confusion matrix is presented row-normalized (each reference row sums
-to 100%).  Precision computed from the row-normalized view is only valid
-when class shares are balanced, so that code path demands the balanced
-flag instead of silently assuming priors.
+to 100%); precision and F1 come from its counts, so they hold on any
+split, balanced or not.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from .errors import ConfigurationError
 
 @dataclass
 class ConfusionMatrix:
-    counts: np.ndarray | None          # (C, C) ints; row = reference class
-    percent: np.ndarray = None         # row-normalized, rows sum to 100
+    counts: np.ndarray                 # (C, C) ints; row = reference class
+    percent: np.ndarray                # row-normalized, rows sum to 100
     absent_classes: list[int] = field(default_factory=list)
 
     @staticmethod
@@ -32,11 +31,6 @@ class ConfusionMatrix:
             percent = 100.0 * counts / totals
         percent[totals[:, 0] == 0] = np.nan
         return ConfusionMatrix(counts, percent, absent)
-
-    @staticmethod
-    def from_percentages(percent: np.ndarray) -> "ConfusionMatrix":
-        percent = np.asarray(percent, dtype=np.float64)
-        return ConfusionMatrix(None, percent, [])
 
 
 @dataclass
@@ -82,22 +76,18 @@ def confusion(predictions, references, n_classes: int = CLASS_COUNT) -> Confusio
     return ConfusionMatrix.from_counts(counts)
 
 
-def precision_f1(matrix: ConfusionMatrix, balanced: bool = False) -> MetricsReport:
-    """Per-class precision and F1 from the row-normalized percentage view.
+def precision_f1(matrix: ConfusionMatrix) -> MetricsReport:
+    """Per-class recall, precision and F1 in percent, from the counts.
 
-    Column sums of equal-weight rows stand in for prediction counts, which
-    is only correct when every reference class has the same share; the
-    caller must assert that with ``balanced=True``.
+    Precision is NaN for a class nothing was predicted as, recall for a
+    class absent from the references; F1 is 0 where both are 0 or either
+    is undefined.
     """
-    if not balanced:
-        raise ConfigurationError(
-            "precision from row percentages requires balanced class shares; "
-            "pass balanced=True to assert that")
-    r = np.asarray(matrix.percent, dtype=np.float64)
-    recall = np.diag(r).copy()
-    col_sums = r.sum(axis=0)
+    counts = matrix.counts
+    recall = np.diag(matrix.percent).copy()
+    predicted = counts.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(col_sums > 0, 100.0 * np.diag(r) / col_sums, np.nan)
+        precision = np.where(predicted > 0, 100.0 * np.diag(counts) / predicted, np.nan)
         denom = precision + recall
         f1 = np.where(np.nan_to_num(denom) > 0, 2 * precision * recall / denom, 0.0)
     return MetricsReport(recall, precision, f1)

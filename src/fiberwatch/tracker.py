@@ -129,11 +129,22 @@ class CalibrationTable:
                            "beta_hat": self.beta_hat.tolist()})
 
     @staticmethod
-    def from_json(text: str) -> "CalibrationTable":
-        d = json.loads(text)
-        return CalibrationTable(np.asarray(d["thresholds"], dtype=np.float64),
-                                np.asarray(d["alpha_hat"], dtype=np.float64),
-                                np.asarray(d["beta_hat"], dtype=np.float64))
+    def from_json(text, source: str = "calibration table") -> "CalibrationTable":
+        """Parse ``to_json`` output; anything else raises ConfigurationError
+        naming ``source``."""
+        keys = ("thresholds", "alpha_hat", "beta_hat")
+        try:
+            d = json.loads(text)
+            arrays = [np.asarray(d[k], dtype=np.float64) for k in keys]
+        except (ValueError, TypeError, KeyError, OverflowError) as err:
+            raise ConfigurationError(
+                f"{source}: not a JSON table of {', '.join(keys)} ({err!r})") from err
+        shapes = {a.shape for a in arrays}
+        if len(shapes) != 1 or arrays[0].ndim != 1 or arrays[0].size == 0:
+            raise ConfigurationError(f"{source}: {', '.join(keys)} must be non-empty "
+                                     f"lists of one length, not of shapes "
+                                     f"{', '.join(str(a.shape) for a in arrays)}")
+        return CalibrationTable(*arrays)
 
 
 def track_matches_event(track: SignalEventTrack, event) -> bool:

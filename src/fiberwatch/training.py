@@ -23,7 +23,7 @@ from .features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_wind
                        fit_normalizer, standardize)
 from .framing import (FrameShaperConfig, adapt_frames, frame_count, frame_matrix,
                       primary_filter)
-from .siggen import DatasetManifest, load_stream, render_scenario
+from .siggen import load_stream
 from .tensornet import Network, reference_member_specs, sgd_step
 from .ensemble import EnsembleModel, predict_fused, threshold_decide
 
@@ -33,8 +33,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 64
     lr: float = 0.05
-    lr_decay_every: int = 0        # epochs between step decays; 0 disables
-    lr_decay_factor: float = 0.5
     momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 0
@@ -111,12 +109,9 @@ def train_member(net: Network, train_set, test_set, cfg: TrainConfig):
     velocity = None
     best = net.clone()
     best_acc = -1.0
-    lr = cfg.lr
     n = x_train.shape[0]
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
-        if cfg.lr_decay_every and epoch and epoch % cfg.lr_decay_every == 0:
-            lr *= cfg.lr_decay_factor
         order = rng.permutation(n)
         losses = []
         for k in range(0, n, cfg.batch_size):
@@ -131,7 +126,7 @@ def train_member(net: Network, train_set, test_set, cfg: TrainConfig):
                 continue
             grads = net.backward_batch(caches, probs, t_train[idx])
             try:
-                _, velocity = sgd_step(net, grads, lr, cfg.momentum,
+                _, velocity = sgd_step(net, grads, cfg.lr, cfg.momentum,
                                        cfg.weight_decay, velocity)
             except NonFiniteGradientError as err:
                 raise DivergenceError(f"gradient diverged at epoch {epoch}: {err}",
@@ -192,12 +187,12 @@ def train_ensemble(train_set, test_set, normalizer: NormalizerStats, pipeline: P
                                      test_set, replace(cfg, seed=cfg.seed + j))
         members.append(best)
         histories.append(history)
-    thresholds = np.full((3, CLASS_COUNT), threshold)
-    model = EnsembleModel(members, thresholds, normalizer, pipeline)
+    model = EnsembleModel(members, normalizer, pipeline)
     changes = []
     if relabel_confidence is not None:
         x_train, y_train = train_set
-        new_labels, changes = relabel_dataset(model, x_train, y_train, thresholds[0],
+        new_labels, changes = relabel_dataset(model, x_train, y_train,
+                                              np.full(CLASS_COUNT, threshold),
                                               relabel_confidence)
         if changes:
             for j in range(3):
@@ -217,56 +212,8 @@ def write_relabel_report(changes, path) -> None:
                                  "confidence": round(c.confidence, 6)}) + "\n")
 
 
-def split_dataset(manifest: DatasetManifest, ratio: int = 7, seed: int = 0):
-    """Re-split a manifest by scenario, then balance the test side.
-
-    Per class, ``max(1, round(n_scenarios / (ratio + 1)))`` whole scenarios
-    go to test; no scenario straddles the split.  Test entries are then
-    subsampled (seeded) to equal per-class counts.
-    """
-    by_class: dict[int, list[str]] = {}
-    for e in manifest.entries:
-        sids = by_class.setdefault(e.class_id, [])
-        if e.scenario_id not in sids:
-            sids.append(e.scenario_id)
-    if not by_class:
-        raise ConfigurationError("empty manifest")
-    for c, sids in by_class.items():
-        if not sids:
-            raise ConfigurationError(f"class {c} has no scenarios")
-
-    rng = np.random.default_rng([seed, 0x5711])
-    test_scenarios: set[str] = set()
-    for c in sorted(by_class):
-        sids = by_class[c]
-        quota = max(1, round(len(sids) / (ratio + 1)))
-        if quota >= len(sids):
-            raise ConfigurationError(f"class {c}: too few scenarios to split")
-        order = rng.permutation(len(sids))
-        test_scenarios.update(sids[i] for i in order[:quota])
-
-    train_entries = [e for e in manifest.entries if e.scenario_id not in test_scenarios]
-    test_entries = [e for e in manifest.entries if e.scenario_id in test_scenarios]
-
-    per_class: dict[int, list] = {}
-    for e in test_entries:
-        per_class.setdefault(e.class_id, []).append(e)
-    floor = min(len(v) for v in per_class.values())
-    balanced = []
-    for c in sorted(per_class):
-        pool = per_class[c]
-        keep = rng.permutation(len(pool))[:floor]
-        balanced.extend(pool[i] for i in sorted(keep))
-
-    train = DatasetManifest(train_entries, manifest.scenarios, manifest.framing,
-                            manifest.seed)
-    test = DatasetManifest(balanced, manifest.scenarios, manifest.framing,
-                           manifest.seed)
-    return train, test
-
-
 # ---------------------------------------------------------------------------
-# Feature assembly from streams and manifests
+# Feature assembly from streams and saved datasets
 
 def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
                     adapt_decay: float = 0.05, band=(5.0, 800.0),
@@ -308,57 +255,56 @@ def stream_scores(stream, model: EnsembleModel, fusion: str = "l2") -> np.ndarra
     return np.ascontiguousarray(grid)
 
 
-def _entry_features(entries, stream_of, framing: FrameShaperConfig, p: Pipeline):
-    """Blobs, labels and splits of (scenario, frame, channel, class, split)
-    entries; ``stream_of(scenario)`` gives each scenario's stream once, cut
-    into frames as ``framing`` says, which must be the pipeline's."""
-    if framing != p.framing:
-        raise ConfigurationError(
-            f"the dataset has frames of {framing.frame_size} samples at overlap "
-            f"{framing.overlap_factor}, the configuration {p.framing.frame_size} "
-            f"at {p.framing.overlap_factor}")
-    by_scenario: dict[str, list] = {}
-    for i, e in enumerate(entries):
-        by_scenario.setdefault(e[0], []).append(i)
-    blobs = np.empty((len(entries), p.features.subwindows, p.features.feature_dim))
-    for sid, idxs in sorted(by_scenario.items()):
-        cells = [entries[i][1:3] for i in idxs]
-        blobs[idxs], _ = stream_features(stream_of(sid), p.framing, p.features,
-                                         p.adapt_decay, p.band, cells)
-    labels = np.array([e[3] for e in entries], dtype=np.int64)
-    splits = np.array([e[4] for e in entries], dtype=object)
-    return blobs, labels, splits
-
-
-def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline()):
-    """Blobs and labels for every manifest entry of a saved dataset.
-
-    Returns (blobs, labels, splits) aligned arrays; blobs are raw feature
-    values, not yet standardized.
-    """
+def _read_manifest(dataset_dir, pipeline: Pipeline):
+    """A saved dataset's ``meta.json`` and manifest entries as (scenario,
+    frame, channel, class, split) tuples; its frames must be the pipeline's."""
     root = Path(dataset_dir)
     meta = json.loads((root / "meta.json").read_text())
-    fr_cfg = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
+    framing = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
+    if framing != pipeline.framing:
+        raise ConfigurationError(
+            f"the dataset has frames of {framing.frame_size} samples at overlap "
+            f"{framing.overlap_factor}, the configuration {pipeline.framing.frame_size} "
+            f"at {pipeline.framing.overlap_factor}")
     with open(root / "manifest.jsonl") as fh:
         entries = [(e["scenario"], e["frame"], e["channel"], e["class_id"], e["split"])
                    for e in map(json.loads, fh)]
-
-    def stream_of(sid):
-        return load_stream(root / "scenarios" / f"{sid}.i16",
-                           meta["scenarios"][sid]["channels"])
-
-    return _entry_features(entries, stream_of, fr_cfg, pipeline)
+    return meta, entries
 
 
-def manifest_features(manifest: DatasetManifest, pipeline: Pipeline = Pipeline()):
-    """Like load_dataset_features but renders scenarios in memory."""
-    entries = [(e.scenario_id, e.frame_index, e.channel, e.class_id, e.split)
-               for e in manifest.entries]
+def _labels_splits(entries):
+    return (np.array([e[3] for e in entries], dtype=np.int64),
+            np.array([e[4] for e in entries], dtype=object))
 
-    def stream_of(sid):
-        return render_scenario(manifest.scenarios[sid], manifest.framing)[0]
 
-    return _entry_features(entries, stream_of, manifest.framing, pipeline)
+def dataset_labels(dataset_dir, pipeline: Pipeline = Pipeline()):
+    """(labels, splits) of every manifest entry of a saved dataset, without
+    featurizing anything."""
+    return _labels_splits(_read_manifest(dataset_dir, pipeline)[1])
+
+
+def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline(), keep=None):
+    """Blobs, labels and splits of a saved dataset's manifest entries: every
+    entry, or those where the boolean mask ``keep`` is set.
+
+    Returns aligned arrays; blobs are raw feature values, not yet
+    standardized.  Each scenario stream is read and featurized once, for
+    its kept cells only.
+    """
+    meta, entries = _read_manifest(dataset_dir, pipeline)
+    if keep is not None:
+        entries = [e for e, k in zip(entries, keep) if k]
+    by_scenario: dict[str, list] = {}
+    for i, e in enumerate(entries):
+        by_scenario.setdefault(e[0], []).append(i)
+    p = pipeline
+    blobs = np.empty((len(entries), p.features.subwindows, p.features.feature_dim))
+    for sid, idxs in sorted(by_scenario.items()):
+        stream = load_stream(Path(dataset_dir) / "scenarios" / f"{sid}.i16",
+                             meta["scenarios"][sid]["channels"])
+        blobs[idxs], _ = stream_features(stream, p.framing, p.features, p.adapt_decay,
+                                         p.band, [entries[i][1:3] for i in idxs])
+    return (blobs, *_labels_splits(entries))
 
 
 def standardized_sets(blobs, labels, splits, clip: float = FeatureConfig.clip):

@@ -37,13 +37,14 @@ MAX_EPOCHS = 12          # within the 200-epoch budget
 
 
 @pytest.fixture(scope="session")
-def trained_pipeline():
-    """Default synthetic dataset (7 x 2000 train / 7 x 300 test) and the
-    three members trained on it."""
+def trained_pipeline(tmp_path_factory):
+    """Default synthetic dataset (7 x 2000 train / 7 x 300 test), saved and
+    loaded as the CLI does, and the three members trained on it."""
     manifest = siggen.generate_dataset(frames_per_class=2400, seed=20,
                                        scenarios_per_class=8, channels=4,
                                        split_ratio=7)
-    blobs, labels, splits = training.manifest_features(manifest)
+    root = siggen.save_dataset(manifest, tmp_path_factory.mktemp("criterion6") / "ds")
+    blobs, labels, splits = training.load_dataset_features(root)
     (x_tr, y_tr), (x_te, y_te), stats = training.standardized_sets(
         blobs, labels, splits)
 
@@ -66,25 +67,25 @@ def trained_pipeline():
         best, history = training.train_member(net, (x_tr, y_tr), (x_te, y_te), cfg)
         members.append(best)
         best_accs.append(max(r.test_accuracy for r in history.records))
-    model = ensemble.EnsembleModel(members, np.full((3, 7), 0.5), stats)
+    model = ensemble.EnsembleModel(members, stats)
     return {
         "model": model,
         "train": (x_tr, y_tr),
         "test": (x_te, y_te),
         "stats": stats,
         "best_accs": best_accs,
-        "manifest": manifest,
     }
 
 
 class TestCriterion1:
     def test_published_metric_reproduction(self):
-        cm = metrics.ConfusionMatrix.from_percentages(REFERENCE_PCT)
-        report = metrics.precision_f1(cm, balanced=True)
+        # 5000 frames per class; the counts reproduce the percentages exactly
+        cm = metrics.ConfusionMatrix.from_counts(np.rint(REFERENCE_PCT * 50))
+        report = metrics.precision_f1(cm)
         prec_ok = all(abs(report.precision[c] - REFERENCE_PRECISION[c]) <= 0.02
                       for c in range(7))
         f1_ok = all(abs(report.f1[c] - REFERENCE_F1[c]) <= 0.02 for c in range(7))
-        criterion(1, "row-normalized reference matrix reproduces all 14 "
+        criterion(1, "reference matrix as counts reproduces all 14 "
                      "precision/F1 values within 0.02 pp",
                   prec_ok and f1_ok,
                   f"class 0: prec {report.precision[0]:.2f}, F1 {report.f1[0]:.2f}")

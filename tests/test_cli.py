@@ -1,12 +1,14 @@
 import errno
 import hashlib
+import io
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fiberwatch import siggen
+from fiberwatch import siggen, training
 from fiberwatch.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISSING, EXIT_NUMERIC,
                             load_config, merged_config, run, validate_config)
 from fiberwatch.ensemble import EnsembleModel, save_ensemble
@@ -151,12 +153,110 @@ class TestEvalCommand:
                     "--predictions", str(tmp_path / "nope.npy")])
         assert code == EXIT_MISSING
 
+    def test_unbalanced_split_reports_precision_and_f1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dataset={"frames_per_class": 18,
+                                              "scenarios_per_class": 4, "channels": 2,
+                                              "split_ratio": 3},
+                           training={"epochs": 1})
+        ds, model = tmp_path / "ds", tmp_path / "model"
+        assert run(["--config", str(cfg), "--out", str(ds), "gen"]) == 0
+        assert run(["--config", str(cfg), "--out", str(model), "train", "--data",
+                    str(ds)]) == 0
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "eval"), "eval",
+                    "--data", str(ds), "--model", str(model / "ensemble.json")]) == 0
+        counts = np.loadtxt(tmp_path / "eval" / "confusion_counts.csv", delimiter=",")
+        assert len(set(counts.sum(axis=1))) > 1          # the test split is unbalanced
+        report = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        predicted = counts.sum(axis=0) > 0
+        assert predicted.any()
+        for c in np.nonzero(predicted)[0]:
+            assert report["precision_pct"][c] is not None
+        assert all(v is not None for v in report["f1_pct"])
+        assert "prec." in capsys.readouterr().out
+
+
+def manifest_test_entries(dataset) -> list[dict]:
+    with open(dataset / "manifest.jsonl") as fh:
+        return [e for e in map(json.loads, fh) if e["split"] == "test"]
+
+
+class TestEvalFeaturizesWhatItScores:
+    @pytest.fixture
+    def featurized(self, monkeypatch):
+        """The number of cells of every stream_features call."""
+        calls = []
+        inner = training.stream_features
+
+        def counted(stream, *args, **kwargs):
+            blobs, cells = inner(stream, *args, **kwargs)
+            calls.append(len(cells))
+            return blobs, cells
+        monkeypatch.setattr(training, "stream_features", counted)
+        return calls
+
+    def test_predictions_featurize_nothing(self, tmp_path, dataset, featurized):
+        preds = tmp_path / "preds.npy"
+        np.save(preds, np.full((len(manifest_test_entries(dataset)), 7), 1 / 7))
+        assert run(["--out", str(tmp_path / "eval"), "eval", "--data", str(dataset),
+                    "--predictions", str(preds)]) == 0
+        assert featurized == []
+
+    def test_model_featurizes_the_test_split_only(self, tmp_path, dataset, model,
+                                                  featurized):
+        test = manifest_test_entries(dataset)
+        assert evaluate(tmp_path, dataset, model) == 0
+        assert sum(featurized) == len(test)
+        assert len(featurized) == len({e["scenario"] for e in test})
+
+
+class TestEvalMalformedPredictions:
+    def predictions(self, tmp_path, dataset, payload) -> int:
+        path = tmp_path / "preds.npy"
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            np.save(path, payload)
+        return run(["--out", str(tmp_path / "eval"), "eval", "--data", str(dataset),
+                    "--predictions", str(path)])
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"7 bytes", pickle.dumps({"fused": 1}), b"\x93NUMPY\x01\x00v\x00{'descr': '<f8'"],
+        ids=["empty", "text", "pickle", "truncated-header"])
+    def test_not_an_npy_array_exits_2(self, tmp_path, capsys, dataset, payload):
+        assert self.predictions(tmp_path, dataset, payload) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "not a .npy array")
+
+    def test_npz_archive_exits_2(self, tmp_path, capsys, dataset):
+        archive = io.BytesIO()
+        np.savez(archive, fused=np.zeros((len(manifest_test_entries(dataset)), 7)))
+        assert self.predictions(tmp_path, dataset, archive.getvalue()) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "an .npz archive")
+
+    @pytest.mark.parametrize("make", [
+        lambda n: np.zeros((n, 6)), lambda n: np.zeros((n + 1, 7)), lambda n: np.zeros(7),
+        lambda n: np.zeros((n, 7, 1)), lambda n: np.full((n, 7), "a"),
+        lambda n: np.zeros((n, 7), dtype=complex)],
+        ids=["6-classes", "extra-row", "1-d", "3-d", "strings", "complex"])
+    def test_wrong_shape_or_type_exits_2(self, tmp_path, capsys, dataset, make):
+        n = len(manifest_test_entries(dataset))
+        assert self.predictions(tmp_path, dataset, make(n)) == EXIT_CONFIG
+        assert one_config_error_line(capsys, f"expected a numeric array of shape ({n}, 7)")
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_predictions_exit_4(self, tmp_path, capsys, dataset, bad):
+        fused = np.full((len(manifest_test_entries(dataset)), 7), 1 / 7)
+        fused[1, 2] = bad
+        assert self.predictions(tmp_path, dataset, fused) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "not all finite" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 @pytest.fixture
 def model(tmp_path):
     members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
     normalizer = NormalizerStats(np.zeros(64), np.ones(64))
-    return save_ensemble(EnsembleModel(members, np.full((3, 7), 0.5), normalizer),
+    return save_ensemble(EnsembleModel(members, normalizer),
                          tmp_path / "model" / "ensemble.json")
 
 
@@ -298,6 +398,40 @@ class TestModelPipeline:
 
 def track(tmp_path, scores) -> int:
     return run(["--out", str(tmp_path / "track"), "track", "--scores", str(scores)])
+
+
+class TestTrackMalformedCalibration:
+    TABLE = {"thresholds": [0.0, 0.5, 0.8], "alpha_hat": [0.6, 0.3, 0.0],
+             "beta_hat": [0.0, 0.2, 0.5]}
+
+    def track(self, tmp_path, rng, text) -> int:
+        scores, table = tmp_path / "scores.npz", tmp_path / "calibration.json"
+        np.savez(scores, fused=rng.dirichlet(np.ones(7), size=(6, 4)))
+        table.write_text(text)
+        return run(["--out", str(tmp_path / "track"), "track", "--scores", str(scores),
+                    "--calibration", str(table)])
+
+    def test_well_formed_table_is_applied(self, tmp_path, rng):
+        assert self.track(tmp_path, rng, json.dumps(self.TABLE)) == 0
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "", "[1, 2]", json.dumps({"thresholds": [0.5], "alpha_hat": [0.1]}),
+        json.dumps({**TABLE, "beta_hat": ["a", "b", "c"]}),
+        json.dumps({**TABLE, "alpha_hat": {"a": 1}})],
+        ids=["not-json", "empty", "list", "no-beta_hat", "strings", "object"])
+    def test_not_a_table_exits_2(self, tmp_path, capsys, rng, text):
+        assert self.track(tmp_path, rng, text) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "calibration.json: not a JSON table")
+
+    @pytest.mark.parametrize("change", [
+        {"alpha_hat": [0.6, 0.3]}, {"thresholds": 0.5, "alpha_hat": 0.1, "beta_hat": 0.0},
+        {"thresholds": [], "alpha_hat": [], "beta_hat": []},
+        {"beta_hat": [[0.0], [0.2], [0.5]]}],
+        ids=["short-alpha_hat", "scalars", "empty", "nested-beta_hat"])
+    def test_arrays_of_other_lengths_exit_2(self, tmp_path, capsys, rng, change):
+        assert self.track(tmp_path, rng, json.dumps({**self.TABLE, **change})) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, "must be non-empty lists of one length")
 
 
 class TestTrackMalformedScores:

@@ -1,5 +1,6 @@
-"""Corrupted model descriptors, member checkpoints and score files must end
-with a documented exit code and, when non-zero, one line on stderr."""
+"""Corrupted model descriptors, member checkpoints, score files, stored
+predictions and calibration tables must end with a documented exit code
+and, when non-zero, one line on stderr."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ from fiberwatch.cli import run
 from fiberwatch.ensemble import EnsembleModel, save_ensemble
 from fiberwatch.features import NormalizerStats
 from fiberwatch.tensornet import Network, reference_member_specs
+from fiberwatch.tracker import CalibrationTable
 
 EXIT_CODES = {0, 2, 3, 4}
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None,
@@ -24,16 +26,27 @@ FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None,
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
-    model = save_ensemble(EnsembleModel(members, np.full((3, 7), 0.5),
-                                        NormalizerStats(np.zeros(64), np.ones(64))),
+    model = save_ensemble(EnsembleModel(members, NormalizerStats(np.zeros(64), np.ones(64))),
                           root / "model" / "ensemble.json")
     stream = root / "stream.i16"
     stream.write_bytes(np.random.default_rng(0).normal(0, 300, 2 * 3100)
                        .astype("<i2").tobytes())
     scores = root / "scores.npz"
     np.savez(scores, fused=np.random.default_rng(1).dirichlet(np.ones(7), size=(5, 3)))
+    dataset = root / "ds"
+    config = root / "config.json"
+    config.write_text(json.dumps({"dataset": {"frames_per_class": 4, "scenarios_per_class": 2,
+                                              "channels": 2, "split_ratio": 1}}))
+    assert run_captured(["--config", config, "--out", dataset, "gen"])[0] == 0
+    predictions = root / "predictions.npy"
+    np.save(predictions, np.random.default_rng(2).dirichlet(np.ones(7), size=14))
+    calibration = root / "calibration.json"
+    calibration.write_text(CalibrationTable(np.array([0.0, 0.5, 0.8]),
+                                            np.array([0.6, 0.3, 0.0]),
+                                            np.array([0.0, 0.2, 0.5])).to_json())
     return {"root": root, "model": model, "stream": stream, "scores": scores,
-            "checkpoint": model.with_suffix(".c2.net")}
+            "checkpoint": model.with_suffix(".c2.net"), "dataset": dataset,
+            "predictions": predictions, "calibration": calibration}
 
 
 def run_captured(argv):
@@ -84,30 +97,65 @@ def infer_argv(files):
             "--channels", 2, "--model", files["model"]]
 
 
-@FUZZ
-@given(target=st.sampled_from(["model", "checkpoint", "scores"]),
-       mode=st.sampled_from(["flip", "truncate", "insert"]),
-       at=st.integers(0, 400) | st.integers(0, 10 ** 7), byte=st.integers(0, 255))
-def test_corrupted_bytes_end_cleanly(files, target, mode, at, byte):
+def argv_reading(files, target):
+    """A command that reads the ``target`` file."""
+    if target == "scores":
+        return ["--out", files["root"] / "track", "track", "--scores", files["scores"]]
+    if target == "calibration":
+        return ["--out", files["root"] / "track", "track", "--scores", files["scores"],
+                "--calibration", files["calibration"]]
+    if target == "predictions":
+        return ["--out", files["root"] / "eval", "eval", "--data", files["dataset"],
+                "--predictions", files["predictions"]]
+    return infer_argv(files)
+
+
+def corrupted_run_ends_cleanly(files, target, mode, at, byte):
     path = files[target]
     pristine = path.read_bytes()
     try:
         path.write_bytes(corrupt(pristine, mode, at, byte))
-        argv = (["--out", files["root"] / "track", "track", "--scores", path]
-                if target == "scores" else infer_argv(files))
-        assert_clean(*run_captured(argv))
+        assert_clean(*run_captured(argv_reading(files, target)))
     finally:
         path.write_bytes(pristine)
 
 
-@FUZZ
-@given(path=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
-       value=json_values)
-def test_mistyped_descriptor_entries_end_cleanly(files, path, value):
-    model = files["model"]
-    pristine = model.read_text()
+def mistyped_run_ends_cleanly(files, target, path, value):
+    doc = files[target]
+    pristine = doc.read_text()
     try:
-        model.write_text(json.dumps(replace_leaf(json.loads(pristine), path, value)))
-        assert_clean(*run_captured(infer_argv(files)))
+        doc.write_text(json.dumps(replace_leaf(json.loads(pristine), path, value)))
+        assert_clean(*run_captured(argv_reading(files, target)))
     finally:
-        model.write_text(pristine)
+        doc.write_text(pristine)
+
+
+corruptions = dict(mode=st.sampled_from(["flip", "truncate", "insert"]),
+                   at=st.integers(0, 400) | st.integers(0, 10 ** 7),
+                   byte=st.integers(0, 255))
+leaf_changes = dict(path=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4),
+                    value=json_values)
+
+
+@FUZZ
+@given(target=st.sampled_from(["model", "checkpoint", "scores"]), **corruptions)
+def test_corrupted_bytes_end_cleanly(files, target, mode, at, byte):
+    corrupted_run_ends_cleanly(files, target, mode, at, byte)
+
+
+@FUZZ
+@given(target=st.sampled_from(["predictions", "calibration"]), **corruptions)
+def test_corrupted_predictions_and_calibration_end_cleanly(files, target, mode, at, byte):
+    corrupted_run_ends_cleanly(files, target, mode, at, byte)
+
+
+@FUZZ
+@given(**leaf_changes)
+def test_mistyped_descriptor_entries_end_cleanly(files, path, value):
+    mistyped_run_ends_cleanly(files, "model", path, value)
+
+
+@FUZZ
+@given(**leaf_changes)
+def test_mistyped_calibration_entries_end_cleanly(files, path, value):
+    mistyped_run_ends_cleanly(files, "calibration", path, value)

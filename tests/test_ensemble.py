@@ -12,10 +12,6 @@ from fiberwatch.framing import FrameShaperConfig
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, save_checkpoint
 
 
-def default_thresholds():
-    return np.full((3, 7), 0.5)
-
-
 def random_prob_vector(rng):
     v = rng.dirichlet(np.ones(7))
     return v
@@ -140,7 +136,7 @@ class TestFuseL2:
             fuse(member_probs(rng), "mean")
 
     def test_predict_fused_fuses_member_forward_passes(self, rng):
-        model = EnsembleModel(tiny_members(seed=3), default_thresholds())
+        model = EnsembleModel(tiny_members(seed=3))
         blobs = rng.normal(size=(6, 4, 4))
         probs = np.stack([net.forward_batch(blobs)[0] for net in model.members])
         for rule in ("l2", "max_confidence"):
@@ -181,16 +177,10 @@ def tiny_members(seed=0):
 class TestEnsembleModel:
     def test_needs_three_members(self):
         with pytest.raises(ConfigurationError):
-            EnsembleModel(tiny_members()[:2], default_thresholds()[:2])
-
-    def test_threshold_range_enforced(self):
-        bad = default_thresholds()
-        bad[0, 0] = 0.0
-        with pytest.raises(ConfigurationError):
-            EnsembleModel(tiny_members(), bad)
+            EnsembleModel(tiny_members()[:2])
 
     def test_member_scores_fixed_order_and_deterministic(self, rng):
-        model = EnsembleModel(tiny_members(), default_thresholds())
+        model = EnsembleModel(tiny_members())
         blobs = rng.normal(size=(3, 4, 4))
         first = predict_fused(model, blobs, "max_confidence")
         assert np.array_equal(first, predict_fused(model, blobs, "max_confidence"))
@@ -202,7 +192,7 @@ class TestEnsembleModel:
 
     def test_identical_members_identical_scores(self, rng):
         net = tiny_members()[0]
-        model = EnsembleModel([net, net, net], default_thresholds())
+        model = EnsembleModel([net, net, net])
         blobs = rng.normal(size=(2, 4, 4))
         probs = net.forward_batch(blobs)[0]
         assert np.array_equal(predict_fused(model, blobs, "max_confidence"), probs)
@@ -211,14 +201,12 @@ class TestEnsembleModel:
         pipeline = Pipeline(FrameShaperConfig(1024, 4), (8.0, 600.0), 0.1,
                             FeatureConfig(subwindows=4, bank_bands=2, clip=3.0))
         normalizer = NormalizerStats(rng.normal(size=6), rng.uniform(0.5, 2.0, 6), 1e-6)
-        model = EnsembleModel(tiny_members(seed=5), default_thresholds(), normalizer,
-                              pipeline)
+        model = EnsembleModel(tiny_members(seed=5), normalizer, pipeline)
         path = save_ensemble(model, tmp_path / "ens.json")
         back = load_ensemble(path)
         blobs = rng.normal(size=(2, 4, 4))
         for a, b in zip(model.members, back.members):
             assert np.array_equal(a.forward_batch(blobs)[0], b.forward_batch(blobs)[0])
-        assert np.array_equal(back.thresholds, model.thresholds)
         assert np.array_equal(back.normalizer.mean, normalizer.mean)
         assert np.array_equal(back.normalizer.std, normalizer.std)
         assert back.normalizer.std_eps == normalizer.std_eps
@@ -228,8 +216,7 @@ class TestEnsembleModel:
 class TestDescriptorFile:
     @pytest.fixture
     def path(self, tmp_path):
-        model = EnsembleModel(tiny_members(), default_thresholds(),
-                              NormalizerStats(np.zeros(64), np.ones(64)))
+        model = EnsembleModel(tiny_members(), NormalizerStats(np.zeros(64), np.ones(64)))
         return save_ensemble(model, tmp_path / "ens.json")
 
     def test_missing_sections_load_as_defaults(self, path):
@@ -239,6 +226,16 @@ class TestDescriptorFile:
         back = load_ensemble(path)
         assert back.pipeline == Pipeline() and back.normalizer is None
 
+    def test_threshold_table_of_older_descriptors_ignored(self, path):
+        desc = json.loads(path.read_text())
+        assert "thresholds" not in desc
+        before = load_ensemble(path)
+        path.write_text(json.dumps({**desc, "thresholds": [[0.5] * 7] * 3}))
+        back = load_ensemble(path)
+        blobs = np.random.default_rng(2).normal(size=(2, 4, 4))
+        assert np.array_equal(predict_fused(back, blobs), predict_fused(before, blobs))
+        assert np.array_equal(back.normalizer.mean, before.normalizer.mean)
+
     def test_not_json_rejected(self, path):
         path.write_bytes(b'{"members": [\xff')
         with pytest.raises(ConfigurationError, match="ens.json"):
@@ -247,8 +244,6 @@ class TestDescriptorFile:
     @pytest.mark.parametrize("key, value", [
         ("members", None), ("members", "ens.c1.net"), ("members", [1, 2, 3]),
         ("members", ["ens.c1.net", "ens.c2.net"]),
-        ("thresholds", None), ("thresholds", "0.5"), ("thresholds", [[0.5] * 7] * 2),
-        ("thresholds", [[float("nan")] * 7] * 3),
         ("normalizer", [0.0] * 64), ("normalizer", {"mean": [0.0] * 64}),
         ("normalizer", {"mean": [0.0] * 63, "std": [1.0] * 63}),
         ("normalizer", {"mean": [0.0] * 64, "std": [0.0] * 64}),

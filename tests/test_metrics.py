@@ -78,45 +78,58 @@ class TestConfusion:
         assert np.all(np.abs(cm.percent - 100.0 / 7.0) < 0.5)
 
 
+# The reference matrix as counts of 5000 frames per class; its rows are
+# whole multiples of 0.02 %, so the counts reproduce it exactly.
+REFERENCE_COUNTS = np.rint(REFERENCE_PCT * 50).astype(np.int64)
+
+
 class TestPrecisionF1:
     def test_reference_matrix_reproduces_published_rows(self):
-        cm = ConfusionMatrix.from_percentages(REFERENCE_PCT)
-        report = precision_f1(cm, balanced=True)
+        report = precision_f1(ConfusionMatrix.from_counts(REFERENCE_COUNTS))
         for c in range(7):
             assert report.precision[c] == pytest.approx(REFERENCE_PRECISION[c], abs=0.02)
             assert report.f1[c] == pytest.approx(REFERENCE_F1[c], abs=0.02)
 
     def test_class_zero_values(self):
-        # column 0 sums to 127.62 -> precision 71.93, F1 80.66
-        cm = ConfusionMatrix.from_percentages(REFERENCE_PCT)
-        report = precision_f1(cm, balanced=True)
+        # column 0 sums to 127.62 % of a class -> precision 71.93, F1 80.66
+        report = precision_f1(ConfusionMatrix.from_counts(REFERENCE_COUNTS))
         assert report.precision[0] == pytest.approx(71.93, abs=0.02)
         assert report.f1[0] == pytest.approx(80.66, abs=0.02)
 
     def test_identity_matrix_all_100(self):
-        cm = ConfusionMatrix.from_percentages(100.0 * np.eye(7))
-        report = precision_f1(cm, balanced=True)
+        report = precision_f1(ConfusionMatrix.from_counts(np.diag([3, 1, 4, 1, 5, 9, 2])))
         assert np.allclose(report.precision, 100.0)
         assert np.allclose(report.recall, 100.0)
         assert np.allclose(report.f1, 100.0)
 
-    def test_balance_flag_required(self):
-        cm = ConfusionMatrix.from_percentages(REFERENCE_PCT)
-        with pytest.raises(ConfigurationError):
-            precision_f1(cm)
+    def test_unbalanced_counts_use_prediction_totals(self):
+        # 90 frames of class 0, 10 of class 1; 9 of class 0 and 5 of class 1
+        # are called the other class.
+        refs = np.repeat([0, 1], [90, 10])
+        preds = np.concatenate([np.repeat([0, 1], [81, 9]), np.repeat([0, 1], [5, 5])])
+        report = precision_f1(confusion(preds, refs))
+        assert report.recall[:2] == pytest.approx([90.0, 50.0])
+        assert report.precision[:2] == pytest.approx([100 * 81 / 86, 100 * 5 / 14])
+        p, r = 100 * 5 / 14, 50.0
+        assert report.f1[1] == pytest.approx(2 * p * r / (p + r))
 
     def test_zero_column_reported_absent(self):
-        pct = 100.0 * np.eye(7)
-        pct[6, 6] = 0.0
-        pct[6, 0] = 100.0
-        cm = ConfusionMatrix.from_percentages(pct)
-        report = precision_f1(cm, balanced=True)
+        counts = 7 * np.eye(7, dtype=np.int64)
+        counts[6, 6] = 0
+        counts[6, 0] = 7
+        report = precision_f1(ConfusionMatrix.from_counts(counts))
         assert not np.isfinite(report.precision[6])
         assert report.f1[6] == 0.0
 
+    def test_class_absent_from_references(self):
+        # class 2 is predicted once but never the reference
+        report = precision_f1(confusion([0, 1, 2], [0, 1, 1]))
+        assert not np.isfinite(report.recall[2]) and report.precision[2] == 0.0
+        assert report.f1[2] == 0.0 and not np.isfinite(report.precision[3])
+
     def test_report_serializes(self):
-        cm = ConfusionMatrix.from_percentages(REFERENCE_PCT)
-        report = precision_f1(cm, balanced=True)
+        cm = ConfusionMatrix.from_counts(REFERENCE_COUNTS)
+        report = precision_f1(cm)
         report.accuracy = 0.912
         text = format_report(cm, report)
         assert "accuracy 0.9120" in text

@@ -6,11 +6,11 @@ from fiberwatch.ensemble import EnsembleModel, predict_fused
 from fiberwatch.errors import ConfigurationError, DivergenceError
 from fiberwatch.features import FeatureConfig, NormalizerStats, Pipeline, standardize
 from fiberwatch.framing import FrameShaperConfig, IntensityStream
-from fiberwatch.siggen import DatasetManifest, ManifestEntry
+from fiberwatch.siggen import generate_dataset, save_dataset
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
-from fiberwatch.training import (TrainConfig, cross_entropy_loss, one_hot,
-                                 relabel_dataset, split_dataset, stream_features,
-                                 stream_scores, train_member)
+from fiberwatch.training import (TrainConfig, cross_entropy_loss, dataset_labels,
+                                 load_dataset_features, one_hot, relabel_dataset,
+                                 stream_features, stream_scores, train_member)
 
 BLOB_SHAPE = (4, 6)
 
@@ -116,7 +116,7 @@ class TestRelabel:
             cfg = TrainConfig(epochs=40, batch_size=16, lr=0.1, momentum=0.9, seed=j)
             best, _ = train_member(toy_net(seed=j), (x, y), (x, y), cfg)
             members.append(best)
-        return EnsembleModel(members, np.full((3, 7), 0.5)), x, y
+        return EnsembleModel(members), x, y
 
     def test_agreeing_labels_unchanged(self, rng):
         model, x, y = self.trained_model(rng)
@@ -153,72 +153,32 @@ class TestRelabel:
         assert len(changes) <= 11
 
 
-def synthetic_manifest(per_scenario, scenarios_per_class, classes=(0,)):
-    cfg = FrameShaperConfig(2048, 2)
-    entries = []
-    for c in classes:
-        for s in range(scenarios_per_class):
-            sid = f"c{c}_s{s:03d}"
-            entries.extend(ManifestEntry(c, "train", sid, n, 0)
-                           for n in range(per_scenario))
-    return DatasetManifest(entries, {}, cfg, seed=0)
+class TestLoadDataset:
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        manifest = generate_dataset(frames_per_class=8, seed=4, scenarios_per_class=2,
+                                    channels=2, split_ratio=1)
+        return save_dataset(manifest, tmp_path_factory.mktemp("load") / "ds")
 
+    def test_labels_match_the_loaded_features(self, dataset):
+        blobs, labels, splits = load_dataset_features(dataset)
+        got_labels, got_splits = dataset_labels(dataset)
+        assert blobs.shape == (56, 16, 64)
+        assert np.array_equal(got_labels, labels) and np.array_equal(got_splits, splits)
+        assert set(splits) == {"train", "test"}
 
-class TestSplitDataset:
-    def test_exact_600_100_split(self):
-        # 700 frames in 7 scenarios; ratio 6 -> one whole scenario to test.
-        manifest = synthetic_manifest(per_scenario=100, scenarios_per_class=7)
-        train, test = split_dataset(manifest, ratio=6, seed=0)
-        assert len(train.entries) == 600
-        assert len(test.entries) == 100
-        train_sids = {e.scenario_id for e in train.entries}
-        test_sids = {e.scenario_id for e in test.entries}
-        assert not (train_sids & test_sids)
+    def test_kept_entries_equal_their_full_rows(self, dataset):
+        full, labels, splits = load_dataset_features(dataset)
+        keep = splits == "test"
+        keep[3] = True
+        part, part_labels, part_splits = load_dataset_features(dataset, keep=keep)
+        assert np.array_equal(part, full[keep])
+        assert np.array_equal(part_labels, labels[keep])
+        assert list(part_splits) == list(splits[keep])
 
-    def test_test_shares_exactly_equal(self):
-        manifest = synthetic_manifest(per_scenario=10, scenarios_per_class=8,
-                                      classes=range(7))
-        train, test = split_dataset(manifest, ratio=7, seed=1)
-        counts = test.class_counts()
-        assert len(set(counts.values())) == 1
-
-    def test_unequal_scenarios_balanced_by_subsampling(self):
-        cfg = FrameShaperConfig(2048, 2)
-        entries = []
-        sizes = {0: 30, 1: 18, 2: 24, 3: 30, 4: 12, 5: 30, 6: 30}
-        for c, size in sizes.items():
-            for s in range(8):
-                entries.extend(ManifestEntry(c, "train", f"c{c}_s{s}", n, 0)
-                               for n in range(size))
-        manifest = DatasetManifest(entries, {}, cfg, seed=0)
-        _, test = split_dataset(manifest, ratio=7, seed=2)
-        counts = test.class_counts()
-        assert len(set(counts.values())) == 1
-        assert set(counts.values()) == {min(sizes.values())}
-
-    def test_same_seed_same_split(self):
-        manifest = synthetic_manifest(per_scenario=10, scenarios_per_class=8,
-                                      classes=range(7))
-        a = split_dataset(manifest, ratio=7, seed=5)
-        b = split_dataset(manifest, ratio=7, seed=5)
-        assert a[0].entries == b[0].entries
-        assert a[1].entries == b[1].entries
-
-    def test_class_without_scenarios_rejected(self):
-        manifest = synthetic_manifest(per_scenario=4, scenarios_per_class=1)
-        with pytest.raises(ConfigurationError):
-            split_dataset(manifest, ratio=6, seed=0)
-
-    def test_split_of_generated_manifest(self):
-        from fiberwatch.siggen import generate_dataset
-        manifest = generate_dataset(frames_per_class=64, seed=9,
-                                    scenarios_per_class=8, channels=2)
-        train, test = split_dataset(manifest, ratio=7, seed=3)
-        train_sids = {e.scenario_id for e in train.entries}
-        test_sids = {e.scenario_id for e in test.entries}
-        assert train_sids and test_sids and not (train_sids & test_sids)
-        counts = test.class_counts()
-        assert len(set(counts.values())) == 1
+    def test_other_framing_rejected(self, dataset):
+        with pytest.raises(ConfigurationError, match="frames of 2048 samples"):
+            dataset_labels(dataset, Pipeline(FrameShaperConfig(1024, 2)))
 
 
 class TestStreamPipeline:
@@ -250,7 +210,6 @@ class TestStreamPipeline:
         spec = NetworkSpec((16, 64), (DenseSpec(8),))
         ft_cfg = FeatureConfig(clip=1.5)
         model = EnsembleModel([Network(spec, seed=j) for j in range(3)],
-                              np.full((3, 7), 0.5),
                               NormalizerStats(np.full(64, 1.0), np.full(64, 2.0)),
                               Pipeline(features=ft_cfg))
         grid = stream_scores(stream, model, fusion="max_confidence")
