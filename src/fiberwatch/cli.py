@@ -21,7 +21,7 @@ import numpy as np
 from . import CLASS_COUNT
 from . import archsearch, config, embedding, ensemble, features, metrics
 from . import siggen, tracker, training
-from .errors import ConfigurationError, MissingDataError, NumericError
+from .errors import ConfigurationError, NumericError
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -44,12 +44,12 @@ DEFAULTS = {
                "epochs": 4, "max_frames_per_class": 60},
     "tracker": {"gap": 2, "width": 2, "min_duration": 3, "min_area": 6,
                 "alpha": 0.5, "beta": 0.5},
+    # Read by no command.  `gen` snapshots the whole configuration into each
+    # dataset, and perfbench's recorded reference fingerprints hash those
+    # files; drop these three keys when that reference is next recorded.
     "scenario": {"duration_s": 60.0, "channels": 8,
                  "events": [{"class_id": 6, "start_s": 10.0, "end_s": 20.0,
                              "chan_lo": 5, "chan_hi": 7}]},
-    # Read by no command.  `gen` snapshots the whole configuration into each
-    # dataset, and perfbench's recorded reference fingerprints hash those
-    # files; drop both keys when that reference is next recorded.
     "workers": 1,
     "bench": {"frames": 1000, "repeats": 5},
 }
@@ -74,12 +74,9 @@ def merged_config(user: dict | None) -> dict:
 def load_config(path: str | None) -> dict:
     if path is None:
         return merged_config(None)
-    p = Path(path)
-    if not p.exists():
-        raise MissingDataError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
+        doc = json.loads(Path(path).read_bytes())
+    except ValueError as err:      # also a document that is not UTF-8
         raise ConfigurationError(f"config is not valid JSON: {err}") from err
     return merged_config(doc)
 
@@ -93,11 +90,8 @@ def _snapshot(cfg: dict, out: Path) -> None:
 
 
 def _load_model(pipeline: features.Pipeline, path) -> ensemble.EnsembleModel:
-    """The ensemble at ``path``, which must carry a normalizer and have been
-    trained with ``pipeline``."""
+    """The ensemble at ``path``, which must have been trained with ``pipeline``."""
     model = ensemble.load_ensemble(path)
-    if model.normalizer is None:
-        raise ConfigurationError(f"{path}: the model has no normalizer")
     have, want = model.pipeline.to_dict(), pipeline.to_dict()
     diff = [f"{s}.{k} is {want[s][k]} here, {have[s][k]} in the model"
             for s in have for k in have[s] if have[s][k] != want[s][k]]
@@ -130,10 +124,10 @@ def _load_sets(data_dir, pipeline: features.Pipeline):
 
 
 def cmd_train(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
-    train_set, test_set, stats = _load_sets(data_dir, pipeline)
     t = cfg["training"]
     tc = training.TrainConfig(seed=cfg["seed"], **{k: t[k] for k in (
         "epochs", "batch_size", "lr", "momentum", "weight_decay", "early_stop_acc")})
+    train_set, test_set, stats = _load_sets(data_dir, pipeline)
     model, histories, changes = training.train_ensemble(
         train_set, test_set, stats, pipeline, tc, cfg["ensemble"]["threshold"],
         t["relabel_confidence"] if t["relabel"] else None)
@@ -211,8 +205,7 @@ def cmd_infer(cfg: dict, pipeline: features.Pipeline, out: Path, stream_path: st
     grid = training.stream_scores(stream, model, cfg["ensemble"]["fusion"])
     if not np.isfinite(grid).all():
         raise NumericError("the model scored the stream with non-finite values")
-    thresholds = np.full(CLASS_COUNT, cfg["ensemble"]["threshold"])
-    dmap = tracker.build_decision_map(grid, thresholds)
+    dmap = tracker.build_decision_map(grid, cfg["ensemble"]["threshold"])
     np.savez(out / "scores.npz", fused=grid, decisions=dmap.decisions)
     print(f"scores: {grid.shape[0]} frames x {channels} channels -> {out / 'scores.npz'}")
     return 0
@@ -229,9 +222,8 @@ def cmd_analyze(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str
     n_comp = min(e["pca_components"], flat.shape[1], flat.shape[0])
     pca_res = embedding.pca(flat, n_comp)
     emb_cfg = embedding.EmbeddingConfig(
-        pca_components=n_comp, dims=e["dims"], perplexity=e["perplexity"],
-        iterations=e["iterations"], learning_rate=e["learning_rate"],
-        seed=cfg["seed"])
+        dims=e["dims"], perplexity=e["perplexity"], iterations=e["iterations"],
+        learning_rate=e["learning_rate"], seed=cfg["seed"])
     emb = embedding.tsne(pca_res.projection, emb_cfg)
     centers = embedding.median_centers(emb, labels)
     dmat = embedding.center_distances(centers)
@@ -243,9 +235,9 @@ def cmd_analyze(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str
         for i in range(emb.shape[0]):
             writer.writerow([i, int(labels[i])] + [f"{v:.6f}" for v in emb[i]])
     (out / "centers.json").write_text(json.dumps(
-        {"centers": centers.points.tolist()}, indent=1))
+        {"centers": centers.tolist()}, indent=1))
     (out / "distances.json").write_text(json.dumps(
-        {"normalized": np.round(dmat.values, 6).tolist()}, indent=1))
+        {"normalized": np.round(dmat, 6).tolist()}, indent=1))
     (out / "mst.json").write_text(json.dumps(
         {"edges": [[i, j, round(w, 6)] for i, j, w in tree.edges],
          "total_weight": round(tree.total_weight, 6)}, indent=1))
@@ -286,22 +278,19 @@ def cmd_search(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str)
 
 def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: str,
               calibration_path: str | None) -> int:
-    p = Path(scores_path)
-    if not p.exists():
-        raise MissingDataError(f"scores file not found: {p}")
-    try:
-        with np.load(p) as data:
-            fused = np.asarray(data["fused"], dtype=np.float64)
-    except Exception as err:      # zipfile and numpy raise many types on bad bytes
-        raise ConfigurationError(
-            f"{p}: not an .npz file with a 'fused' array ({err!r})") from err
+    with open(scores_path, "rb") as fh:
+        try:
+            with np.load(fh) as data:
+                fused = np.asarray(data["fused"], dtype=np.float64)
+        except Exception as err:      # zipfile and numpy raise many types on bad bytes
+            raise ConfigurationError(f"{scores_path}: not an .npz file with a "
+                                     f"'fused' array ({err!r})") from err
     if fused.ndim != 3 or fused.shape[2] != CLASS_COUNT:
-        raise ConfigurationError(f"{p}: 'fused' has shape {fused.shape}, "
+        raise ConfigurationError(f"{scores_path}: 'fused' has shape {fused.shape}, "
                                  f"expected (frames, channels, {CLASS_COUNT})")
     if not np.isfinite(fused).all():
-        raise NumericError(f"{p}: fused scores are not all finite")
-    thresholds = np.full(CLASS_COUNT, cfg["ensemble"]["threshold"])
-    dmap = tracker.build_decision_map(fused, thresholds)
+        raise NumericError(f"{scores_path}: fused scores are not all finite")
+    dmap = tracker.build_decision_map(fused, cfg["ensemble"]["threshold"])
     t = cfg["tracker"]
     tracks = tracker.glue_tracks(dmap, t["gap"], t["width"], t["min_duration"],
                                  t["min_area"])

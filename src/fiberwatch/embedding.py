@@ -21,7 +21,6 @@ from .errors import ConfigurationError, NumericError
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    pca_components: int = 64
     dims: int = 3
     perplexity: float = 30.0
     iterations: int = 1000
@@ -87,9 +86,15 @@ def _row_affinity(dist_row: np.ndarray, beta: float):
     return p, h
 
 
-def conditional_affinities(dists: np.ndarray, perplexity: float,
-                           tol: float = 1e-3, max_iter: int = 80):
-    """Bisection per point until entropy matches log(perplexity) within tol.
+# Perplexity bisection: stop when the entropy is within this many nats of
+# log(perplexity), or after this many halvings.
+ENTROPY_TOL = 1e-3
+BISECTION_STEPS = 80
+
+
+def conditional_affinities(dists: np.ndarray, perplexity: float):
+    """Bisection per point until entropy matches log(perplexity) within
+    ENTROPY_TOL.
 
     Returns the conditional matrix (rows sum to 1, zero diagonal) and the
     per-point precisions.
@@ -102,8 +107,8 @@ def conditional_affinities(dists: np.ndarray, perplexity: float,
         row = np.delete(dists[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
         p, h = _row_affinity(row, beta)
-        for _ in range(max_iter):
-            if abs(h - target) <= tol:
+        for _ in range(BISECTION_STEPS):
+            if abs(h - target) <= ENTROPY_TOL:
                 break
             if h > target:          # entropy too high -> sharpen
                 lo = beta
@@ -199,12 +204,8 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, kl_trace: list | None = None)
     return y - y.mean(axis=0)
 
 
-@dataclass
-class ClusterCenters:
-    points: np.ndarray           # (CLASS_COUNT, dims), coordinatewise medians
-
-
-def median_centers(embedded: np.ndarray, labels: np.ndarray) -> ClusterCenters:
+def median_centers(embedded: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(CLASS_COUNT, dims) coordinatewise medians of each class's points."""
     y = np.asarray(embedded, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
     centers = np.empty((CLASS_COUNT, y.shape[1]))
@@ -213,22 +214,17 @@ def median_centers(embedded: np.ndarray, labels: np.ndarray) -> ClusterCenters:
         if not np.any(mask):
             raise ConfigurationError(f"class {c} has no points")
         centers[c] = np.median(y[mask], axis=0)
-    return ClusterCenters(centers)
+    return centers
 
 
-@dataclass
-class DistanceMatrix:
-    values: np.ndarray           # (C, C) symmetric, zero diagonal, max = 1
-
-
-def center_distances(centers: ClusterCenters) -> DistanceMatrix:
-    """Pairwise Euclidean distances, normalized so the largest entry is 1."""
-    pts = centers.points
-    d = np.sqrt(_sq_dists(pts))
+def center_distances(centers: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances, normalized so the largest entry is 1:
+    (C, C), symmetric, zero diagonal."""
+    d = np.sqrt(_sq_dists(centers))
     peak = d.max()
     if peak <= 0:
         raise NumericError("all cluster centers coincide; distances degenerate")
-    return DistanceMatrix(d / peak)
+    return d / peak
 
 
 @dataclass
@@ -255,9 +251,9 @@ class _UnionFind:
         return True
 
 
-def mst(matrix: DistanceMatrix | np.ndarray) -> MstEdges:
+def mst(matrix: np.ndarray) -> MstEdges:
     """Kruskal over a symmetric distance matrix; lexicographic tie-break."""
-    d = np.asarray(getattr(matrix, "values", matrix), dtype=np.float64)
+    d = np.asarray(matrix, dtype=np.float64)
     n = d.shape[0]
     if not np.allclose(d, d.T):
         raise ConfigurationError("distance matrix must be symmetric")

@@ -1,6 +1,6 @@
 """Three-member primary classifier and its decision/fusion rules.
 
-Partial decisions come from a per-class threshold rule; a single decision
+Partial decisions come from a threshold rule; a single decision
 is produced either by two-out-of-three voting on the hard labels, or by
 score-level fusion that keeps the posterior information: L2-normalized
 summation, or selection of the most confident member.
@@ -23,7 +23,7 @@ from .tensornet import Network, load_checkpoint, save_checkpoint
 @dataclass
 class EnsembleModel:
     members: list[Network]                 # exactly C1, C2, C3 in order
-    normalizer: NormalizerStats | None = None
+    normalizer: NormalizerStats
     pipeline: Pipeline = Pipeline()        # the preprocessing it was trained with
 
     def __post_init__(self):
@@ -32,28 +32,25 @@ class EnsembleModel:
         if any(net.spec.n_classes != CLASS_COUNT for net in self.members):
             raise ConfigurationError(f"members must score {CLASS_COUNT} classes")
         nz, dim = self.normalizer, self.pipeline.features.feature_dim
-        if nz is not None and not (nz.mean.shape == nz.std.shape == (dim,)
-                                   and np.all(np.isfinite(nz.mean))
-                                   and np.all(np.isfinite(nz.std) & (nz.std > 0))):
+        if not (nz.mean.shape == nz.std.shape == (dim,) and np.all(np.isfinite(nz.mean))
+                and np.all(np.isfinite(nz.std) & (nz.std > 0))):
             raise ConfigurationError(f"normalizer needs {dim} finite means and "
                                      f"{dim} finite positive deviations")
 
 
-def threshold_decide(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Most probable class where its score clears that class's threshold, else 0.
+def threshold_decide(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Most probable class where its score clears ``threshold``, else 0.
 
     ``scores`` holds score vectors along its last axis, shape (..., 7);
     the result has shape (...).  Argmax ties break toward the lowest
     index, biasing toward the non-alarm background class.
     """
+    if not 0 < threshold <= 1:
+        raise ConfigurationError(f"thresholds must lie in (0, 1], got {threshold}")
     probs = np.asarray(scores, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    ok = (alpha > 0) & (alpha <= 1)
-    if not ok.all():
-        raise ConfigurationError(f"thresholds must lie in (0, 1], got {alpha[~ok].flat[0]}")
     winners = np.argmax(probs, axis=-1)
     winning = np.take_along_axis(probs, winners[..., None], axis=-1)[..., 0]
-    return np.where(winning >= alpha[winners], winners, 0).astype(np.int64)
+    return np.where(winning >= threshold, winners, 0).astype(np.int64)
 
 
 def vote_two_of_three(c1: int, c2: int, c3: int) -> int:
@@ -104,14 +101,10 @@ def save_ensemble(model: EnsembleModel, path) -> Path:
         member_files.append(fname.name)
     desc = {
         "members": member_files,
+        "normalizer": {"mean": model.normalizer.mean.tolist(),
+                       "std": model.normalizer.std.tolist()},
         "pipeline": model.pipeline.to_dict(),
     }
-    if model.normalizer is not None:
-        desc["normalizer"] = {
-            "mean": model.normalizer.mean.tolist(),
-            "std": model.normalizer.std.tolist(),
-            "std_eps": model.normalizer.std_eps,
-        }
     with open(path, "w") as fh:
         json.dump(desc, fh, indent=1, sort_keys=True)
     return path
@@ -119,9 +112,9 @@ def save_ensemble(model: EnsembleModel, path) -> Path:
 
 def load_ensemble(path) -> EnsembleModel:
     """Read a descriptor written by ``save_ensemble``; one without a
-    ``pipeline`` section gets the default ``Pipeline()``, and a
-    ``thresholds`` entry, which older descriptors carry, is ignored.  A
-    malformed descriptor raises ConfigurationError."""
+    ``pipeline`` section gets the default ``Pipeline()``; the ``thresholds``
+    entry and the normalizer's ``std_eps``, which older descriptors carry,
+    are ignored.  A malformed descriptor raises ConfigurationError."""
     path = Path(path)
     try:
         desc = json.loads(path.read_bytes())
@@ -129,12 +122,9 @@ def load_ensemble(path) -> EnsembleModel:
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ConfigurationError("members must be a list of file names")
         members = [load_checkpoint(path.parent / name) for name in names]
-        normalizer = None
-        if "normalizer" in desc:
-            nz = desc["normalizer"]
-            normalizer = NormalizerStats(np.array(nz["mean"], dtype=np.float64),
-                                         np.array(nz["std"], dtype=np.float64),
-                                         float(nz.get("std_eps", 1e-8)))
+        nz = desc["normalizer"]
+        normalizer = NormalizerStats(np.array(nz["mean"], dtype=np.float64),
+                                     np.array(nz["std"], dtype=np.float64))
         pipeline = Pipeline.from_dict(desc.get("pipeline", Pipeline().to_dict()))
         return EnsembleModel(members, normalizer, pipeline)
     except (ValueError, TypeError, KeyError, AttributeError) as err:

@@ -20,6 +20,8 @@ from .framing import FrameShaperConfig
 
 # Log floor: 1e-10 of full-scale power keeps band energies finite on silence.
 POWER_FLOOR = 1e-10 * float(ADC_FULL_SCALE) ** 2
+# Floor of a normalizer deviation, so a constant feature divides by a finite value.
+STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ class Pipeline:
 @dataclass
 class NormalizerStats:
     mean: np.ndarray              # (feature_dim,)
-    std: np.ndarray               # (feature_dim,) floored at std_eps
-    std_eps: float = 1e-8
+    std: np.ndarray               # (feature_dim,) floored at STD_FLOOR
 
 
 def _band_matrix(n_fft: int, cfg: FeatureConfig) -> np.ndarray:
@@ -152,14 +153,14 @@ def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     return out
 
 
-def fit_normalizer(blobs, std_eps: float = 1e-8) -> NormalizerStats:
+def fit_normalizer(blobs) -> NormalizerStats:
     """Per-feature mean/std over the training blobs, pooled across sub-windows."""
     stack = np.concatenate([np.asarray(b) for b in blobs], axis=0)
     if stack.shape[0] < 2:
         raise ConfigurationError("need at least 2 rows to fit a normalizer")
     mean = stack.mean(axis=0)
-    std = np.maximum(stack.std(axis=0), std_eps)
-    return NormalizerStats(mean, std, std_eps)
+    std = np.maximum(stack.std(axis=0), STD_FLOOR)
+    return NormalizerStats(mean, std)
 
 
 def standardize(blobs: np.ndarray, stats: NormalizerStats, clip: float) -> np.ndarray:

@@ -21,8 +21,7 @@ from .errors import ConfigurationError
 class IntensityStream:
     """Channel-major sample matrix in ADC digital levels (DL)."""
 
-    samples: np.ndarray  # (channels, n_samples) float64
-    sample_rate_hz: int = SAMPLE_RATE_HZ
+    samples: np.ndarray  # (channels, n_samples) float64, at SAMPLE_RATE_HZ
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
@@ -78,9 +77,9 @@ def primary_filter(stream: IntensityStream, band=(5.0, 800.0)) -> IntensityStrea
             f"band must satisfy 0 <= lo < hi <= {NYQUIST_HZ:.0f} Hz, got {band}"
         )
     sos = signal.butter(4, [f_lo, f_hi], btype="bandpass",
-                        fs=stream.sample_rate_hz, output="sos")
+                        fs=SAMPLE_RATE_HZ, output="sos")
     filtered = signal.sosfiltfilt(sos, stream.samples, axis=1)
-    return IntensityStream(filtered, stream.sample_rate_hz)
+    return IntensityStream(filtered)
 
 
 def frame_matrix(stream: IntensityStream, cfg: FrameShaperConfig) -> np.ndarray:
@@ -111,11 +110,8 @@ def adapt_frames(frames: np.ndarray, decay: float, index=np.s_[:, :]) -> np.ndar
     run_m = frames.mean(axis=2)
     run_v = frames.var(axis=2)
     for i in range(1, run_m.shape[1]):
-        if decay > 0:
-            run_m[:, i] = (1 - decay) * run_m[:, i - 1] + decay * run_m[:, i]
-            run_v[:, i] = (1 - decay) * run_v[:, i - 1] + decay * run_v[:, i]
-        else:
-            run_m[:, i], run_v[:, i] = run_m[:, i - 1], run_v[:, i - 1]
+        run_m[:, i] = (1 - decay) * run_m[:, i - 1] + decay * run_m[:, i]
+        run_v[:, i] = (1 - decay) * run_v[:, i - 1] + decay * run_v[:, i]
     raw = frames[index]
     mu = run_m[index][..., None]
     sd = np.sqrt(np.maximum(run_v[index], 0.0))[..., None]

@@ -8,7 +8,7 @@ split, balanced or not.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,16 @@ from .errors import ConfigurationError
 @dataclass
 class ConfusionMatrix:
     counts: np.ndarray                 # (C, C) ints; row = reference class
-    percent: np.ndarray                # row-normalized, rows sum to 100
-    absent_classes: list[int] = field(default_factory=list)
+    percent: np.ndarray                # rows sum to 100; NaN for absent classes
 
     @staticmethod
     def from_counts(counts: np.ndarray) -> "ConfusionMatrix":
         counts = np.asarray(counts, dtype=np.int64)
         totals = counts.sum(axis=1, keepdims=True)
-        absent = [int(c) for c in np.nonzero(totals[:, 0] == 0)[0]]
         with np.errstate(invalid="ignore", divide="ignore"):
             percent = 100.0 * counts / totals
         percent[totals[:, 0] == 0] = np.nan
-        return ConfusionMatrix(counts, percent, absent)
+        return ConfusionMatrix(counts, percent)
 
 
 @dataclass
@@ -66,12 +64,12 @@ def accuracy(predicted, labels) -> float:
     return float(np.mean(p_idx == t_idx))
 
 
-def confusion(predictions, references, n_classes: int = CLASS_COUNT) -> ConfusionMatrix:
+def confusion(predictions, references) -> ConfusionMatrix:
     p = np.asarray(predictions, dtype=np.int64)
     r = np.asarray(references, dtype=np.int64)
     if p.shape != r.shape:
         raise ConfigurationError("predictions and references differ in length")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    counts = np.zeros((CLASS_COUNT, CLASS_COUNT), dtype=np.int64)
     np.add.at(counts, (r, p), 1)
     return ConfusionMatrix.from_counts(counts)
 

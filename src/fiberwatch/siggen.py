@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ class EventSpec:
     end_s: float
     chan_lo: int
     chan_hi: int                       # inclusive
-    overrides: tuple = ()              # (field, value) pairs applied to the base profile
 
 
 @dataclass(frozen=True)
@@ -179,22 +178,22 @@ def ground_truth(spec: ScenarioSpec, cfg: FrameShaperConfig) -> list[GroundTruth
     return truth
 
 
-def render_scenario(spec: ScenarioSpec, cfg: FrameShaperConfig | None = None,
-                    profiles: dict[int, ClassProfile] | None = None):
-    """Background everywhere, events mixed additively inside their spans.
+def render_scenario(spec: ScenarioSpec, cfg: FrameShaperConfig | None = None):
+    """Background everywhere, events of the default profiles mixed
+    additively inside their spans.
 
     Returns the stream and the frame-indexed ground truth (computed with
     ``cfg``, defaulting to the standard shaper configuration).
     """
     cfg = cfg or FrameShaperConfig()
-    profiles = profiles or default_profiles()
+    profiles = default_profiles()
     stream = generate_stream(spec.background, spec.duration_s, spec.channel_count,
                              seed=spec.seed)
     for idx, ev in enumerate(spec.events):
-        prof = replace(profiles[ev.class_id], **dict(ev.overrides))
         dur = ev.end_s - ev.start_s
         n_ch = ev.chan_hi - ev.chan_lo + 1
-        event_stream = generate_stream(prof, dur, n_ch, seed=spec.seed * 1000003 + idx + 1)
+        event_stream = generate_stream(profiles[ev.class_id], dur, n_ch,
+                                       seed=spec.seed * 1000003 + idx + 1)
         s0 = round(ev.start_s * SAMPLE_RATE_HZ)
         seg = event_stream.samples
         stream.samples[ev.chan_lo:ev.chan_hi + 1, s0:s0 + seg.shape[1]] += seg
@@ -222,20 +221,21 @@ class DatasetManifest:
         return dict(Counter(e.class_id for e in self.entries))
 
 
-def _class_scenario(class_id: int, profiles, frames_needed: int, channels: int,
+def _class_scenario(class_id: int, frames_needed: int, channels: int,
                     cfg: FrameShaperConfig, seed: int) -> tuple[ScenarioSpec, list]:
     """One scenario providing at least ``frames_needed`` labeled frames of a class.
 
     Class 0 scenarios are pure background; other classes ride one event on
     a class-0 background, and only fully-covered frames get labels.
     """
+    background = default_profiles()[0]
     per_chan = -(-frames_needed // channels)
     lead_s = 2.0
     span_samples = cfg.frame_size + (per_chan + 1) * cfg.step
     span_s = span_samples / SAMPLE_RATE_HZ
     if class_id == 0:
         duration = lead_s + span_s
-        spec = ScenarioSpec(duration, channels, profiles[0], (), seed)
+        spec = ScenarioSpec(duration, channels, background, (), seed)
         s0 = round(lead_s * SAMPLE_RATE_HZ)
         n_b = -(-s0 // cfg.step)
         n_e = frame_count(round(duration * SAMPLE_RATE_HZ), cfg) - 1
@@ -243,7 +243,7 @@ def _class_scenario(class_id: int, profiles, frames_needed: int, channels: int,
     else:
         duration = lead_s + span_s + 1.0
         ev = EventSpec(class_id, lead_s, lead_s + span_s, 0, channels - 1)
-        spec = ScenarioSpec(duration, channels, profiles[0], (ev,), seed)
+        spec = ScenarioSpec(duration, channels, background, (ev,), seed)
         truth = ground_truth(spec, cfg)[0]
         cells = [(n, l) for n in range(truth.frame_begin, truth.frame_end + 1)
                  for l in range(channels)]
@@ -252,26 +252,27 @@ def _class_scenario(class_id: int, profiles, frames_needed: int, channels: int,
     return spec, cells[:frames_needed]
 
 
-def generate_dataset(class_mix=None, frames_per_class: int = 100, seed: int = 0,
+def generate_dataset(frames_per_class: int = 100, seed: int = 0,
                      scenarios_per_class: int = 8, channels: int = 4,
                      split_ratio: int = 7,
-                     cfg: FrameShaperConfig | None = None,
-                     profiles: dict[int, ClassProfile] | None = None) -> DatasetManifest:
-    """Labeled-frame manifest with uniform class shares and a scenario-disjoint split.
+                     cfg: FrameShaperConfig | None = None) -> DatasetManifest:
+    """Labeled-frame manifest of every class from the default profiles, with
+    uniform class shares and a scenario-disjoint split.
 
     ``split_ratio`` is train:test; test scenarios per class are
     ``max(1, round(scenarios_per_class / (split_ratio + 1)))``.
     """
-    if frames_per_class < 1:
-        raise ConfigurationError("frames_per_class must be >= 1")
-    class_mix = list(class_mix) if class_mix is not None else list(range(CLASS_COUNT))
+    for name, value, low in (("frames_per_class", frames_per_class, 1),
+                             ("scenarios_per_class", scenarios_per_class, 1),
+                             ("channels", channels, 1), ("split_ratio", split_ratio, 0)):
+        if value < low:
+            raise ConfigurationError(f"{name} must be >= {low}, got {value}")
     cfg = cfg or FrameShaperConfig()
-    profiles = profiles or default_profiles()
     rng = np.random.default_rng([seed, 0xDA7A])
 
     entries: list[ManifestEntry] = []
     scenarios: dict[str, ScenarioSpec] = {}
-    for class_id in class_mix:
+    for class_id in range(CLASS_COUNT):
         base = frames_per_class // scenarios_per_class
         counts = [base + (1 if i < frames_per_class % scenarios_per_class else 0)
                   for i in range(scenarios_per_class)]
@@ -282,7 +283,7 @@ def generate_dataset(class_mix=None, frames_per_class: int = 100, seed: int = 0,
             if quota == 0:
                 continue
             sid = f"c{class_id}_s{i:03d}"
-            spec, cells = _class_scenario(class_id, profiles, quota, channels, cfg,
+            spec, cells = _class_scenario(class_id, quota, channels, cfg,
                                           seed=seed * 10007 + class_id * 101 + i)
             scenarios[sid] = spec
             split = "test" if i in test_set else "train"

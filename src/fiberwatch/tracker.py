@@ -17,19 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import CLASS_COUNT
+from . import CLASS_COUNT, SAMPLE_RATE_HZ
 from .ensemble import threshold_decide
-from .errors import ConfigurationError, MissingDataError
+from .errors import ConfigurationError, NumericError
+from .framing import FrameShaperConfig
 
 
 @dataclass
 class DecisionMap:
     decisions: np.ndarray        # (n_frames, n_channels) ints in 0..6
     scores: np.ndarray           # (n_frames, n_channels, CLASS_COUNT)
-
-    @property
-    def shape(self):
-        return self.decisions.shape
 
 
 @dataclass(frozen=True)
@@ -43,10 +40,6 @@ class SignalEventTrack:
     mean_confidence: float
     cell_count: int
 
-    @property
-    def duration(self) -> int:
-        return self.frame_end - self.frame_begin + 1
-
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -58,13 +51,13 @@ class ErrorBudget:
             raise ConfigurationError("alpha and beta must lie in (0, 1)")
 
 
-def build_decision_map(fused_scores: np.ndarray, thresholds: np.ndarray) -> DecisionMap:
+def build_decision_map(fused_scores: np.ndarray, threshold: float) -> DecisionMap:
     """Apply the threshold rule cell by cell; scores are retained."""
     scores = np.asarray(fused_scores, dtype=np.float64)
     if scores.ndim != 3 or scores.shape[2] != CLASS_COUNT:
         raise ConfigurationError(
             f"fused scores must be (frames, channels, {CLASS_COUNT})")
-    return DecisionMap(threshold_decide(scores, thresholds), scores)
+    return DecisionMap(threshold_decide(scores, threshold), scores)
 
 
 def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,
@@ -131,7 +124,7 @@ class CalibrationTable:
     @staticmethod
     def from_json(text, source: str = "calibration table") -> "CalibrationTable":
         """Parse ``to_json`` output; anything else raises ConfigurationError
-        naming ``source``."""
+        naming ``source``, and non-finite values raise NumericError."""
         keys = ("thresholds", "alpha_hat", "beta_hat")
         try:
             d = json.loads(text)
@@ -144,6 +137,8 @@ class CalibrationTable:
             raise ConfigurationError(f"{source}: {', '.join(keys)} must be non-empty "
                                      f"lists of one length, not of shapes "
                                      f"{', '.join(str(a.shape) for a in arrays)}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise NumericError(f"{source}: {', '.join(keys)} are not all finite")
         return CalibrationTable(*arrays)
 
 
@@ -186,7 +181,7 @@ class EventReport:
 
 
 def apply_error_budget(tracks, budget: ErrorBudget,
-                       calibration: CalibrationTable | None) -> list[EventReport]:
+                       calibration: CalibrationTable) -> list[EventReport]:
     """Keep tracks whose calibrated operating point satisfies the budget.
 
     Picks the most permissive threshold with expected false-alarm rate
@@ -194,8 +189,6 @@ def apply_error_budget(tracks, budget: ErrorBudget,
     set.  The achieved miss rate is reported so an infeasible beta is
     visible rather than silently ignored.
     """
-    if calibration is None:
-        raise MissingDataError("error budget requires a calibration table")
     ok = np.nonzero(calibration.alpha_hat <= budget.alpha)[0]
     if ok.size == 0:
         threshold = float(calibration.thresholds[-1]) + 1.0  # nothing qualifies
@@ -209,10 +202,9 @@ def apply_error_budget(tracks, budget: ErrorBudget,
                         exp_alpha, exp_beta) for t in tracks]
 
 
-def write_event_reports(reports, path, frame_cfg=None,
-                        sample_rate_hz: int = 1666) -> None:
-    """JSON lines; wall-clock spans derived from frame indices when the
-    shaper configuration is provided."""
+def write_event_reports(reports, path, frame_cfg: FrameShaperConfig) -> None:
+    """JSON lines, one per report; wall-clock spans come from the frame
+    indices under ``frame_cfg``."""
     with open(path, "w") as fh:
         for r in reports:
             t = r.track
@@ -220,10 +212,8 @@ def write_event_reports(reports, path, frame_cfg=None,
                    "frame_end": t.frame_end, "chan_lo": t.chan_lo,
                    "chan_hi": t.chan_hi, "center_channel": t.center_channel,
                    "mean_confidence": round(t.mean_confidence, 6),
-                   "admitted": r.admitted}
-            if frame_cfg is not None:
-                step = frame_cfg.step
-                row["start_s"] = round(t.frame_begin * step / sample_rate_hz, 3)
-                row["end_s"] = round((t.frame_end * step + frame_cfg.frame_size)
-                                     / sample_rate_hz, 3)
+                   "admitted": r.admitted,
+                   "start_s": round(t.frame_begin * frame_cfg.step / SAMPLE_RATE_HZ, 3),
+                   "end_s": round((t.frame_end * frame_cfg.step + frame_cfg.frame_size)
+                                  / SAMPLE_RATE_HZ, 3)}
             fh.write(json.dumps(row) + "\n")

@@ -41,6 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         if self.lr < 0:
             raise ConfigurationError("lr must be >= 0")
 
@@ -68,14 +70,13 @@ def one_hot(labels: np.ndarray, n_classes: int = CLASS_COUNT) -> np.ndarray:
     return out
 
 
-def cross_entropy_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood; probabilities clamped at 1e-12."""
+def cross_entropy_loss(scores: np.ndarray, targets: np.ndarray) -> float:
+    """Mean negative log-likelihood of one-hot ``targets``; probabilities
+    clamped at 1e-12."""
     p = np.asarray(scores, dtype=np.float64)
-    t = np.asarray(labels, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
     if p.shape[0] == 0:
         raise ConfigurationError("loss of an empty batch is undefined")
-    if t.ndim == 1:
-        t = one_hot(t, p.shape[1])
     return float(-(t * np.log(np.clip(p, 1e-12, None))).sum() / p.shape[0])
 
 
@@ -151,7 +152,7 @@ class RelabelChange:
 
 
 def relabel_dataset(model: EnsembleModel, blobs: np.ndarray, labels: np.ndarray,
-                    thresholds: np.ndarray, confidence: float = 0.95):
+                    threshold: float, confidence: float = 0.95):
     """Let the trained ensemble audit the labels.
 
     For every frame: fuse member scores by L2, apply the threshold rule;
@@ -161,7 +162,7 @@ def relabel_dataset(model: EnsembleModel, blobs: np.ndarray, labels: np.ndarray,
     """
     labels = np.asarray(labels, dtype=np.int64)
     fused = predict_fused(model, blobs)
-    decided = threshold_decide(fused, thresholds)
+    decided = threshold_decide(fused, threshold)
     conf = np.take_along_axis(fused, decided[:, None], axis=1)[:, 0]
     flip = (decided != labels) & (conf >= confidence)
     changes = [RelabelChange(int(i), int(labels[i]), int(decided[i]), float(conf[i]))
@@ -191,8 +192,7 @@ def train_ensemble(train_set, test_set, normalizer: NormalizerStats, pipeline: P
     changes = []
     if relabel_confidence is not None:
         x_train, y_train = train_set
-        new_labels, changes = relabel_dataset(model, x_train, y_train,
-                                              np.full(CLASS_COUNT, threshold),
+        new_labels, changes = relabel_dataset(model, x_train, y_train, threshold,
                                               relabel_confidence)
         if changes:
             for j in range(3):
@@ -255,20 +255,53 @@ def stream_scores(stream, model: EnsembleModel, fusion: str = "l2") -> np.ndarra
     return np.ascontiguousarray(grid)
 
 
+def _one_of(value, allowed, name: str):
+    """``value`` if ``allowed``, a range of ints or a tuple of strings, holds
+    it; ConfigurationError naming ``name`` otherwise."""
+    if type(value) is not (int if isinstance(allowed, range) else str) \
+            or value not in allowed:
+        raise ConfigurationError(f"{name} is {value!r}, expected one of {allowed}")
+    return value
+
+
 def _read_manifest(dataset_dir, pipeline: Pipeline):
     """A saved dataset's ``meta.json`` and manifest entries as (scenario,
-    frame, channel, class, split) tuples; its frames must be the pipeline's."""
+    frame, channel, class, split) tuples; its frames must be the pipeline's.
+
+    Every entry must name a scenario of ``meta.json`` and a frame and
+    channel inside its stream; a malformed file raises ConfigurationError
+    naming it and the line.
+    """
     root = Path(dataset_dir)
-    meta = json.loads((root / "meta.json").read_text())
-    framing = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
-    if framing != pipeline.framing:
-        raise ConfigurationError(
-            f"the dataset has frames of {framing.frame_size} samples at overlap "
-            f"{framing.overlap_factor}, the configuration {pipeline.framing.frame_size} "
-            f"at {pipeline.framing.overlap_factor}")
-    with open(root / "manifest.jsonl") as fh:
-        entries = [(e["scenario"], e["frame"], e["channel"], e["class_id"], e["split"])
-                   for e in map(json.loads, fh)]
+    where = root / "meta.json"
+    try:
+        meta = json.loads(where.read_bytes())
+        framing = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
+        if framing != pipeline.framing:
+            raise ConfigurationError(
+                f"the dataset has frames of {framing.frame_size} samples at overlap "
+                f"{framing.overlap_factor}, the configuration "
+                f"{pipeline.framing.frame_size} at {pipeline.framing.overlap_factor}")
+        extent = {sid: (range(frame_count(sc["n_samples"], framing)),
+                        range(sc["channels"])) for sid, sc in meta["scenarios"].items()}
+        entries = []
+        with open(root / "manifest.jsonl", "rb") as fh:
+            for line, text in enumerate(fh, start=1):
+                where = f"{root / 'manifest.jsonl'}, line {line}"
+                e = json.loads(text)
+                if e["scenario"] not in extent:
+                    raise ConfigurationError(
+                        f"scenario {e['scenario']!r} is not in meta.json")
+                frames, channels = extent[e["scenario"]]
+                entries.append((e["scenario"], _one_of(e["frame"], frames, "frame"),
+                                _one_of(e["channel"], channels, "channel"),
+                                _one_of(e["class_id"], range(CLASS_COUNT), "class_id"),
+                                _one_of(e["split"], ("train", "test"), "split")))
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
+        detail = err if isinstance(err, ConfigurationError) else f"malformed ({err!r})"
+        raise ConfigurationError(f"{where}: {detail}") from err
+    if not entries:
+        raise ConfigurationError(f"{root / 'manifest.jsonl'}: holds no entries")
     return meta, entries
 
 
@@ -300,8 +333,11 @@ def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline(), keep=Non
     p = pipeline
     blobs = np.empty((len(entries), p.features.subwindows, p.features.feature_dim))
     for sid, idxs in sorted(by_scenario.items()):
-        stream = load_stream(Path(dataset_dir) / "scenarios" / f"{sid}.i16",
-                             meta["scenarios"][sid]["channels"])
+        path, sc = Path(dataset_dir) / "scenarios" / f"{sid}.i16", meta["scenarios"][sid]
+        stream = load_stream(path, sc["channels"])
+        if stream.sample_count != sc["n_samples"]:
+            raise ConfigurationError(f"{path}: holds {stream.sample_count} samples per "
+                                     f"channel, meta.json says {sc['n_samples']}")
         blobs[idxs], _ = stream_features(stream, p.framing, p.features, p.adapt_decay,
                                          p.band, [entries[i][1:3] for i in idxs])
     return (blobs, *_labels_splits(entries))
@@ -310,6 +346,8 @@ def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline(), keep=Non
 def standardized_sets(blobs, labels, splits, clip: float = FeatureConfig.clip):
     """Fit the normalizer on the training split and standardize both splits."""
     train_mask = splits == "train"
+    if train_mask.all() or not train_mask.any():
+        raise ConfigurationError("the dataset needs both train and test entries")
     stats = fit_normalizer(blobs[train_mask])
     return (standardize(blobs[train_mask], stats, clip), labels[train_mask]), \
            (standardize(blobs[~train_mask], stats, clip), labels[~train_mask]), stats

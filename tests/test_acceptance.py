@@ -296,7 +296,7 @@ class TestCriterion10:
         def decision_map_for(spec):
             stream, truth = siggen.render_scenario(spec, model.pipeline.framing)
             grid = training.stream_scores(stream, model)
-            return tracker.build_decision_map(grid, np.full(7, 0.5)), truth
+            return tracker.build_decision_map(grid, 0.5), truth
 
         event = siggen.EventSpec(6, 10.0, 20.0, 5, 7)
         spec = siggen.ScenarioSpec(30.0, 8, profiles[0], (event,), seed=1006)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,7 @@ class TestConfigValidation:
             validate_config({"training": {"lr": True}})
 
     def test_missing_config_file_raises_missing(self, tmp_path):
-        from fiberwatch.errors import MissingDataError
-        with pytest.raises(MissingDataError):
+        with pytest.raises(FileNotFoundError):
             load_config(str(tmp_path / "absent.json"))
 
 
@@ -97,9 +97,12 @@ class TestGenCommand:
         bad.write_text("{not json")
         assert run(["--config", str(bad), "gen"]) == EXIT_CONFIG
 
-    def test_missing_config_exits_3(self, tmp_path):
+    def test_missing_config_exits_3(self, tmp_path, capsys):
         assert run(["--config", str(tmp_path / "none.json"),
                     "--out", str(tmp_path / "x"), "gen"]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("missing input:") and "none.json" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_output_path_that_is_a_file_is_no_missing_input(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -309,6 +312,32 @@ class TestBadConfigValues:
         assert code == EXIT_CONFIG
         assert one_config_error_line(capsys, fragment)
 
+    @pytest.mark.parametrize("key, value", [("scenarios_per_class", 0), ("channels", 0),
+                                            ("split_ratio", -1), ("frames_per_class", 0)])
+    def test_gen_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["dataset"][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "ds"), "gen"]) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, f"{key} must be >=")
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_train_batch_size_exits_2(self, tmp_path, capsys, dataset, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"training": {"batch_size": value}}))
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "model"), "train",
+                    "--data", str(dataset)]) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "batch_size must be >= 1")
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": "\xff\xfe"}')
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "ds"), "gen"]) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, "config is not valid JSON")
+
     def test_track_threshold_0_exits_2(self, tmp_path, capsys, rng):
         scores = tmp_path / "scores.npz"
         np.savez(scores, fused=rng.dirichlet(np.ones(7), size=(6, 4)))
@@ -337,6 +366,61 @@ def config_file(tmp_path, doc) -> str:
     path = tmp_path / "override.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def first_entry(change=None, drop=None):
+    """A manifest edit: the first entry updated by ``change``, less ``drop``."""
+    def edit(raw: bytes) -> bytes:
+        first, rest = raw.split(b"\n", 1)
+        entry = {**json.loads(first), **(change or {})}
+        return json.dumps({k: v for k, v in entry.items() if k != drop}).encode() \
+            + b"\n" + rest
+    return edit
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("name, edit, fragment", [
+        ("manifest.jsonl", lambda b: b"{not json\n" + b, "line 1: malformed"),
+        ("manifest.jsonl", lambda b: b + b'{"frame": "\xff"}\n', "UnicodeDecodeError"),
+        ("manifest.jsonl", lambda b: b"", "holds no entries"),
+        ("manifest.jsonl", first_entry({"frame": 9999}), "frame is 9999"),
+        ("manifest.jsonl", first_entry({"channel": 2}), "channel is 2"),
+        ("manifest.jsonl", first_entry({"frame": 3.0}), "frame is 3.0"),
+        ("manifest.jsonl", first_entry({"class_id": 9}), "class_id is 9"),
+        ("manifest.jsonl", first_entry({"split": "valid"}), "split is 'valid'"),
+        ("manifest.jsonl", first_entry({"scenario": "c9_s000"}), "'c9_s000' is not in"),
+        ("manifest.jsonl", first_entry(drop="channel"), "KeyError('channel')"),
+        ("meta.json", lambda b: b[:-3], "meta.json: malformed"),
+        ("meta.json", lambda b: b.replace(b'"frame_size"', b'"frame"'),
+         "KeyError('frame_size')"),
+        ("meta.json", lambda b: b.replace(b'"channels": 2', b'"channels": "2"'),
+         "meta.json: malformed"),
+    ], ids=["not-json", "not-utf8", "empty", "frame-9999", "channel-2", "frame-float",
+            "class-9", "split-valid", "unknown-scenario", "no-channel", "meta-not-json",
+            "meta-no-frame_size", "meta-channels-str"])
+    def test_train_exits_2(self, tmp_path, capsys, dataset, name, edit, fragment):
+        data = shutil.copytree(dataset, tmp_path / "ds")
+        path = data / name
+        path.write_bytes(edit(path.read_bytes()))
+        assert run(["--out", str(tmp_path / "model"), "train", "--data", str(data)]) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, fragment)
+
+    def test_stream_shorter_than_meta_says_exits_2(self, tmp_path, capsys, dataset):
+        data = shutil.copytree(dataset, tmp_path / "ds")
+        stream = data / "scenarios" / "c0_s000.i16"
+        stream.write_bytes(stream.read_bytes()[:-400])
+        assert run(["--out", str(tmp_path / "model"), "train", "--data", str(data)]) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, "c0_s000.i16: holds")
+
+    def test_no_test_entries_exits_2(self, tmp_path, capsys, dataset):
+        data = shutil.copytree(dataset, tmp_path / "ds")
+        manifest = data / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace('"test"', '"train"'))
+        assert run(["--out", str(tmp_path / "model"), "train", "--data", str(data)]) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, "both train and test entries")
 
 
 class TestModelPipeline:
@@ -374,11 +458,11 @@ class TestModelPipeline:
 
     def test_infer_without_normalizer_exits_2(self, tmp_path, capsys, bare_model):
         assert infer(tmp_path, bare_model, self.STREAM, 2) == EXIT_CONFIG
-        assert one_config_error_line(capsys, "no normalizer")
+        assert one_config_error_line(capsys, "KeyError('normalizer')")
 
     def test_eval_without_normalizer_exits_2(self, tmp_path, capsys, dataset, bare_model):
         assert evaluate(tmp_path, dataset, bare_model) == EXIT_CONFIG
-        assert one_config_error_line(capsys, "no normalizer")
+        assert one_config_error_line(capsys, "KeyError('normalizer')")
 
     def test_descriptor_without_pipeline_scores_with_defaults(self, tmp_path, model):
         assert infer(tmp_path, model, self.STREAM, 2) == 0
@@ -433,8 +517,25 @@ class TestTrackMalformedCalibration:
             == EXIT_CONFIG
         assert one_config_error_line(capsys, "must be non-empty lists of one length")
 
+    @pytest.mark.parametrize("change", [
+        {"thresholds": [float("nan")] * 3}, {"alpha_hat": [0.6, float("inf"), 0.0]},
+        {"beta_hat": [0.0, 0.2, -float("inf")]}],
+        ids=["nan-thresholds", "inf-alpha_hat", "minus-inf-beta_hat"])
+    def test_non_finite_values_exit_4(self, tmp_path, capsys, rng, change):
+        assert self.track(tmp_path, rng, json.dumps({**self.TABLE, **change})) \
+            == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "calibration.json" in err
+        assert "not all finite" in err and len(err.strip().splitlines()) == 1
+
 
 class TestTrackMalformedScores:
+    def test_missing_scores_exit_3(self, tmp_path, capsys):
+        assert track(tmp_path, tmp_path / "absent.npz") == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("missing input:") and "absent.npz" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("payload", [b"fused", b"PK\x03\x04 not really a zip"])
     def test_not_an_npz_exits_2(self, tmp_path, capsys, payload):
         scores = tmp_path / "scores.npz"

@@ -1,6 +1,6 @@
 """Corrupted model descriptors, member checkpoints, score files, stored
-predictions and calibration tables must end with a documented exit code
-and, when non-zero, one line on stderr."""
+predictions, calibration tables and dataset files must end with a
+documented exit code and, when non-zero, one line on stderr."""
 
 import contextlib
 import io
@@ -46,7 +46,8 @@ def files(tmp_path_factory):
                                             np.array([0.0, 0.2, 0.5])).to_json())
     return {"root": root, "model": model, "stream": stream, "scores": scores,
             "checkpoint": model.with_suffix(".c2.net"), "dataset": dataset,
-            "predictions": predictions, "calibration": calibration}
+            "predictions": predictions, "calibration": calibration,
+            "meta": dataset / "meta.json", "manifest": dataset / "manifest.jsonl"}
 
 
 def run_captured(argv):
@@ -107,6 +108,9 @@ def argv_reading(files, target):
     if target == "predictions":
         return ["--out", files["root"] / "eval", "eval", "--data", files["dataset"],
                 "--predictions", files["predictions"]]
+    if target in ("meta", "manifest"):
+        return ["--out", files["root"] / "eval", "eval", "--data", files["dataset"],
+                "--model", files["model"]]
     return infer_argv(files)
 
 
@@ -128,6 +132,19 @@ def mistyped_run_ends_cleanly(files, target, path, value):
         assert_clean(*run_captured(argv_reading(files, target)))
     finally:
         doc.write_text(pristine)
+
+
+def mistyped_manifest_line_ends_cleanly(files, line, path, value):
+    manifest = files["manifest"]
+    pristine = manifest.read_text()
+    lines = pristine.splitlines()
+    line %= len(lines)
+    lines[line] = json.dumps(replace_leaf(json.loads(lines[line]), path, value))
+    try:
+        manifest.write_text("\n".join(lines) + "\n")
+        assert_clean(*run_captured(argv_reading(files, "manifest")))
+    finally:
+        manifest.write_text(pristine)
 
 
 corruptions = dict(mode=st.sampled_from(["flip", "truncate", "insert"]),
@@ -159,3 +176,21 @@ def test_mistyped_descriptor_entries_end_cleanly(files, path, value):
 @given(**leaf_changes)
 def test_mistyped_calibration_entries_end_cleanly(files, path, value):
     mistyped_run_ends_cleanly(files, "calibration", path, value)
+
+
+@FUZZ
+@given(target=st.sampled_from(["meta", "manifest"]), **corruptions)
+def test_corrupted_dataset_files_end_cleanly(files, target, mode, at, byte):
+    corrupted_run_ends_cleanly(files, target, mode, at, byte)
+
+
+@FUZZ
+@given(**leaf_changes)
+def test_mistyped_dataset_meta_entries_end_cleanly(files, path, value):
+    mistyped_run_ends_cleanly(files, "meta", path, value)
+
+
+@FUZZ
+@given(line=st.integers(0, 10 ** 6), **leaf_changes)
+def test_mistyped_manifest_entries_end_cleanly(files, line, path, value):
+    mistyped_manifest_line_ends_cleanly(files, line, path, value)

@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from fiberwatch.embedding import (ClusterCenters, EmbeddingConfig,
-                                  center_distances, conditional_affinities,
-                                  joint_affinities, median_centers, mst, pca,
-                                  tsne, _sq_dists)
+from fiberwatch.embedding import (EmbeddingConfig, center_distances,
+                                  conditional_affinities, joint_affinities,
+                                  median_centers, mst, pca, tsne, _sq_dists)
 from fiberwatch.errors import ConfigurationError, NumericError
 
 # Normalized inter-center distances of the 7 signal classes (reference values).
@@ -160,7 +159,7 @@ class TestMedianCenters:
     def test_single_point_per_class(self):
         pts = np.arange(21, dtype=float).reshape(7, 3)
         centers = median_centers(pts, np.arange(7))
-        assert np.array_equal(centers.points, pts)
+        assert np.array_equal(centers, pts)
 
     def test_symmetric_cloud_centers_at_origin(self, rng):
         half = rng.normal(size=(300, 3))
@@ -172,7 +171,7 @@ class TestMedianCenters:
             pts_all.append(np.array([[c, c, c]], dtype=float))
             labs_all.append(np.array([c]))
         centers = median_centers(np.concatenate(pts_all), np.concatenate(labs_all))
-        assert np.allclose(centers.points[0], 0.0, atol=1e-9)
+        assert np.allclose(centers[0], 0.0, atol=1e-9)
 
     def test_outlier_barely_moves_median(self, rng):
         cluster = rng.normal(0, 1.0, size=(100, 3))
@@ -183,7 +182,7 @@ class TestMedianCenters:
         labels2 = np.concatenate([np.zeros(101, int)] + [np.array([c]) for c in range(1, 7)])
         moved = median_centers(spiked, labels2)
         iqr = np.subtract(*np.percentile(cluster, [75, 25], axis=0)).max()
-        assert np.linalg.norm(moved.points[0] - base.points[0]) < abs(iqr)
+        assert np.linalg.norm(moved[0] - base[0]) < abs(iqr)
 
     def test_missing_class_rejected(self, rng):
         with pytest.raises(ConfigurationError):
@@ -194,14 +193,14 @@ class TestCenterDistances:
     def test_normalized_max_is_one(self, rng):
         pts = np.zeros((7, 3))
         pts[3] = [4.0, 0.0, 0.0]
-        d = center_distances(ClusterCenters(pts))
-        assert d.values.max() == pytest.approx(1.0)
+        d = center_distances(pts)
+        assert d.max() == pytest.approx(1.0)
 
     def test_scale_invariance(self, rng):
         pts = rng.normal(size=(7, 3))
-        a = center_distances(ClusterCenters(pts))
-        b = center_distances(ClusterCenters(10.0 * pts))
-        assert np.allclose(a.values, b.values, atol=1e-12)
+        a = center_distances(pts)
+        b = center_distances(10.0 * pts)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_reference_matrix_max_pair(self):
         d = reference_matrix()
@@ -211,7 +210,7 @@ class TestCenterDistances:
 
     def test_coincident_centers_rejected(self):
         with pytest.raises(NumericError):
-            center_distances(ClusterCenters(np.ones((7, 3))))
+            center_distances(np.ones((7, 3)))
 
 
 class TestMst:

@@ -11,6 +11,8 @@ from fiberwatch.features import FeatureConfig, NormalizerStats, Pipeline
 from fiberwatch.framing import FrameShaperConfig
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, save_checkpoint
 
+UNIT = NormalizerStats(np.zeros(64), np.ones(64))      # a normalizer that changes nothing
+
 
 def random_prob_vector(rng):
     v = rng.dirichlet(np.ones(7))
@@ -29,35 +31,31 @@ def pair_agreement_oracle(c1, c2, c3):
 class TestThresholdDecide:
     def test_above_threshold_returns_argmax(self):
         probs = np.array([0.1, 0.1, 0.5, 0.1, 0.1, 0.05, 0.05])
-        alpha = np.full(7, 0.4)
-        assert threshold_decide(probs, alpha) == 2
+        assert threshold_decide(probs, 0.4) == 2
 
     def test_below_threshold_falls_back_to_zero(self):
         probs = np.array([0.1, 0.35, 0.3, 0.05, 0.1, 0.05, 0.05])
-        alpha = np.full(7, 0.4)
-        assert threshold_decide(probs, alpha) == 0
+        assert threshold_decide(probs, 0.4) == 0
 
     def test_uniform_scores_fall_back(self):
         probs = np.full(7, 1.0 / 7.0)
-        assert threshold_decide(probs, np.full(7, 0.2)) == 0
+        assert threshold_decide(probs, 0.2) == 0
 
     def test_tie_breaks_to_lowest_index(self):
         probs = np.array([0.0, 0.4, 0.4, 0.2, 0.0, 0.0, 0.0])
-        assert threshold_decide(probs, np.full(7, 0.3)) == 1
+        assert threshold_decide(probs, 0.3) == 1
 
     def test_raising_threshold_only_moves_to_zero(self, rng):
         for _ in range(2000):
             probs = random_prob_vector(rng)
-            alpha = rng.uniform(0.05, 1.0, 7)
+            alpha = rng.uniform(0.05, 1.0)
             d1 = threshold_decide(probs, alpha)
-            bumped = alpha.copy()
-            bumped[np.argmax(probs)] = min(1.0, bumped[np.argmax(probs)] + rng.uniform(0, 0.5))
-            d2 = threshold_decide(probs, bumped)
+            d2 = threshold_decide(probs, min(1.0, alpha + rng.uniform(0, 0.5)))
             assert d2 in (d1, 0)
 
     def test_grid_matches_vector_rule(self, rng):
         grid = rng.dirichlet(np.ones(7), size=(5, 4))
-        alpha = rng.uniform(0.1, 0.6, 7)
+        alpha = rng.uniform(0.1, 0.6)
         got = threshold_decide(grid, alpha)
         assert got.shape == (5, 4) and got.dtype == np.int64
         for idx in np.ndindex(5, 4):
@@ -65,10 +63,8 @@ class TestThresholdDecide:
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, np.nan])
     def test_threshold_outside_unit_interval_rejected(self, bad):
-        alpha = np.full(7, 0.5)
-        alpha[3] = bad
         with pytest.raises(ConfigurationError):
-            threshold_decide(np.full(7, 1.0 / 7.0), alpha)
+            threshold_decide(np.full(7, 1.0 / 7.0), bad)
 
 
 class TestVote:
@@ -136,7 +132,7 @@ class TestFuseL2:
             fuse(member_probs(rng), "mean")
 
     def test_predict_fused_fuses_member_forward_passes(self, rng):
-        model = EnsembleModel(tiny_members(seed=3))
+        model = EnsembleModel(tiny_members(seed=3), UNIT)
         blobs = rng.normal(size=(6, 4, 4))
         probs = np.stack([net.forward_batch(blobs)[0] for net in model.members])
         for rule in ("l2", "max_confidence"):
@@ -177,10 +173,10 @@ def tiny_members(seed=0):
 class TestEnsembleModel:
     def test_needs_three_members(self):
         with pytest.raises(ConfigurationError):
-            EnsembleModel(tiny_members()[:2])
+            EnsembleModel(tiny_members()[:2], UNIT)
 
     def test_member_scores_fixed_order_and_deterministic(self, rng):
-        model = EnsembleModel(tiny_members())
+        model = EnsembleModel(tiny_members(), UNIT)
         blobs = rng.normal(size=(3, 4, 4))
         first = predict_fused(model, blobs, "max_confidence")
         assert np.array_equal(first, predict_fused(model, blobs, "max_confidence"))
@@ -192,7 +188,7 @@ class TestEnsembleModel:
 
     def test_identical_members_identical_scores(self, rng):
         net = tiny_members()[0]
-        model = EnsembleModel([net, net, net])
+        model = EnsembleModel([net, net, net], UNIT)
         blobs = rng.normal(size=(2, 4, 4))
         probs = net.forward_batch(blobs)[0]
         assert np.array_equal(predict_fused(model, blobs, "max_confidence"), probs)
@@ -200,7 +196,7 @@ class TestEnsembleModel:
     def test_checkpoint_round_trip(self, tmp_path, rng):
         pipeline = Pipeline(FrameShaperConfig(1024, 4), (8.0, 600.0), 0.1,
                             FeatureConfig(subwindows=4, bank_bands=2, clip=3.0))
-        normalizer = NormalizerStats(rng.normal(size=6), rng.uniform(0.5, 2.0, 6), 1e-6)
+        normalizer = NormalizerStats(rng.normal(size=6), rng.uniform(0.5, 2.0, 6))
         model = EnsembleModel(tiny_members(seed=5), normalizer, pipeline)
         path = save_ensemble(model, tmp_path / "ens.json")
         back = load_ensemble(path)
@@ -209,22 +205,20 @@ class TestEnsembleModel:
             assert np.array_equal(a.forward_batch(blobs)[0], b.forward_batch(blobs)[0])
         assert np.array_equal(back.normalizer.mean, normalizer.mean)
         assert np.array_equal(back.normalizer.std, normalizer.std)
-        assert back.normalizer.std_eps == normalizer.std_eps
         assert back.pipeline == pipeline
 
 
 class TestDescriptorFile:
     @pytest.fixture
     def path(self, tmp_path):
-        model = EnsembleModel(tiny_members(), NormalizerStats(np.zeros(64), np.ones(64)))
+        model = EnsembleModel(tiny_members(), UNIT)
         return save_ensemble(model, tmp_path / "ens.json")
 
-    def test_missing_sections_load_as_defaults(self, path):
+    def test_missing_pipeline_loads_as_default(self, path):
         desc = json.loads(path.read_text())
-        del desc["pipeline"], desc["normalizer"]
+        del desc["pipeline"]
         path.write_text(json.dumps(desc))
-        back = load_ensemble(path)
-        assert back.pipeline == Pipeline() and back.normalizer is None
+        assert load_ensemble(path).pipeline == Pipeline()
 
     def test_threshold_table_of_older_descriptors_ignored(self, path):
         desc = json.loads(path.read_text())
@@ -235,6 +229,14 @@ class TestDescriptorFile:
         blobs = np.random.default_rng(2).normal(size=(2, 4, 4))
         assert np.array_equal(predict_fused(back, blobs), predict_fused(before, blobs))
         assert np.array_equal(back.normalizer.mean, before.normalizer.mean)
+
+    def test_std_eps_of_older_descriptors_ignored(self, path):
+        desc = json.loads(path.read_text())
+        assert "std_eps" not in desc["normalizer"]
+        path.write_text(json.dumps({**desc, "normalizer": {**desc["normalizer"],
+                                                           "std_eps": 1e-8}}))
+        back = load_ensemble(path)
+        assert np.array_equal(back.normalizer.std, np.ones(64))
 
     def test_not_json_rejected(self, path):
         path.write_bytes(b'{"members": [\xff')
@@ -253,6 +255,7 @@ class TestDescriptorFile:
                       "features": {**Pipeline().to_dict()["features"], "clip": "8"}}),
         ("pipeline", {"framing": {**Pipeline().to_dict()["framing"], "frame_size": 100},
                       "features": Pipeline().to_dict()["features"]}),
+        ("normalizer", None),
     ])
     def test_missing_or_mistyped_entry_rejected(self, path, key, value):
         desc = json.loads(path.read_text())

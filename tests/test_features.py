@@ -3,9 +3,9 @@ import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.errors import ConfigurationError
-from fiberwatch.features import (POWER_FLOOR, FeatureConfig, NormalizerStats, Pipeline,
-                                 _band_matrix, blobs_from_windows, fit_normalizer,
-                                 standardize)
+from fiberwatch.features import (POWER_FLOOR, STD_FLOOR, FeatureConfig, NormalizerStats,
+                                 Pipeline, _band_matrix, blobs_from_windows,
+                                 fit_normalizer, standardize)
 from fiberwatch.framing import FrameShaperConfig
 
 NB = FeatureConfig().bank_bands
@@ -182,7 +182,7 @@ class TestNormalizer:
         stats = fit_normalizer(blobs)
         stack = standardize(blobs, stats, np.inf).reshape(-1, blobs.shape[-1])
         assert np.allclose(stack.mean(axis=0), 0.0, atol=1e-6)
-        live = stats.std > stats.std_eps
+        live = stats.std > STD_FLOOR
         assert np.allclose(stack.std(axis=0)[live], 1.0, atol=1e-6)
 
     def test_identity_stats(self, rng):
@@ -203,7 +203,7 @@ class TestNormalizer:
         stats = fit_normalizer(blobs)
         x = blobs[3]
         back = standardize(x, stats, np.inf) * stats.std + stats.mean
-        live = stats.std > stats.std_eps
+        live = stats.std > STD_FLOOR
         assert np.allclose(back[:, live], x[:, live], rtol=1e-9, atol=1e-9)
 
     def test_needs_two_rows(self):

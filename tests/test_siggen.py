@@ -132,13 +132,16 @@ class TestRenderScenario:
                     cells.add((n, l))
 
     def test_event_mixes_additively(self):
-        ev = EventSpec(6, 2.0, 6.0, 0, 0, overrides=(("amplitude_db", 50.0),))
+        ev = EventSpec(6, 2.0, 6.0, 0, 0)
         spec = ScenarioSpec(8.0, 1, default_profiles()[0], (ev,), seed=4)
         with_event, _ = render_scenario(spec)
         without, _ = render_scenario(ScenarioSpec(8.0, 1, default_profiles()[0], (), seed=4))
-        inside = slice(round(2.5 * SAMPLE_RATE_HZ), round(5.5 * SAMPLE_RATE_HZ))
-        boost = with_event.samples[0][inside].std() / without.samples[0][inside].std()
-        assert boost > 3.0
+        # The event's own stream, seeded as render_scenario seeds event 0.
+        event = generate_stream(default_profiles()[6], 4.0, 1, seed=4 * 1000003 + 1)
+        s0, s1 = round(2.0 * SAMPLE_RATE_HZ), round(2.0 * SAMPLE_RATE_HZ) + event.sample_count
+        added = with_event.samples[0] - without.samples[0]
+        assert np.array_equal(added[s0:s1], event.samples[0])
+        assert not added[:s0].any() and not added[s1:].any()
 
     def test_ground_truth_frames_fully_inside_event(self):
         cfg = FrameShaperConfig(2048, 2)

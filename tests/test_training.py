@@ -116,11 +116,11 @@ class TestRelabel:
             cfg = TrainConfig(epochs=40, batch_size=16, lr=0.1, momentum=0.9, seed=j)
             best, _ = train_member(toy_net(seed=j), (x, y), (x, y), cfg)
             members.append(best)
-        return EnsembleModel(members), x, y
+        return EnsembleModel(members, NormalizerStats(np.zeros(64), np.ones(64))), x, y
 
     def test_agreeing_labels_unchanged(self, rng):
         model, x, y = self.trained_model(rng)
-        new_labels, changes = relabel_dataset(model, x, y, np.full(7, 0.5))
+        new_labels, changes = relabel_dataset(model, x, y, 0.5)
         assert changes == []
         assert np.array_equal(new_labels, y)
 
@@ -128,7 +128,7 @@ class TestRelabel:
         model, x, y = self.trained_model(rng)
         corrupted = y.copy()
         corrupted[7] = (y[7] + 3) % 7
-        new_labels, changes = relabel_dataset(model, x, corrupted, np.full(7, 0.5),
+        new_labels, changes = relabel_dataset(model, x, corrupted, 0.5,
                                               confidence=0.9)
         assert len(changes) == 1
         assert changes[0].index == 7
@@ -139,7 +139,7 @@ class TestRelabel:
         model, x, y = self.trained_model(rng)
         corrupted = y.copy()
         corrupted[::5] = (corrupted[::5] + 1) % 7
-        new_labels, changes = relabel_dataset(model, x, corrupted, np.full(7, 0.5),
+        new_labels, changes = relabel_dataset(model, x, corrupted, 0.5,
                                               confidence=1.01)
         assert changes == []
         assert np.array_equal(new_labels, corrupted)
@@ -148,7 +148,7 @@ class TestRelabel:
         model, x, y = self.trained_model(rng)
         corrupted = y.copy()
         corrupted[:11] = (corrupted[:11] + 2) % 7
-        _, changes = relabel_dataset(model, x, corrupted, np.full(7, 0.5),
+        _, changes = relabel_dataset(model, x, corrupted, 0.5,
                                      confidence=0.0 + 1e-9)
         assert len(changes) <= 11
 
