@@ -201,6 +201,9 @@ def cmd_eval(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str,
 def cmd_infer(cfg: dict, pipeline: features.Pipeline, out: Path, stream_path: str,
               channels: int, model_path: str) -> int:
     model = _load_model(pipeline, model_path)
+    # Float32 copies of the members score within 1e-6 of the float64 ones,
+    # and faster; training and eval stay in float64.
+    model.members = [net.astype(np.float32) for net in model.members]
     stream = siggen.load_stream(stream_path, channels)
     grid = training.stream_scores(stream, model, cfg["ensemble"]["fusion"])
     if not np.isfinite(grid).all():
@@ -281,15 +284,22 @@ def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: st
     with open(scores_path, "rb") as fh:
         try:
             with np.load(fh) as data:
-                fused = np.asarray(data["fused"], dtype=np.float64)
+                fused = data["fused"]
         except Exception as err:      # zipfile and numpy raise many types on bad bytes
             raise ConfigurationError(f"{scores_path}: not an .npz file with a "
                                      f"'fused' array ({err!r})") from err
+    if fused.dtype.kind != "f":
+        raise ConfigurationError(f"{scores_path}: 'fused' holds {fused.dtype} values, "
+                                 "expected real floating-point scores")
     if fused.ndim != 3 or fused.shape[2] != CLASS_COUNT:
         raise ConfigurationError(f"{scores_path}: 'fused' has shape {fused.shape}, "
                                  f"expected (frames, channels, {CLASS_COUNT})")
-    if not np.isfinite(fused).all():
-        raise NumericError(f"{scores_path}: fused scores are not all finite")
+    # NaN fails both comparisons, so one pass rejects non-finite scores too.
+    if fused.size and not (fused.min() >= 0 and fused.max() <= 1):
+        if not np.isfinite(fused).all():
+            raise NumericError(f"{scores_path}: fused scores are not all finite")
+        raise ConfigurationError(f"{scores_path}: fused scores lie in "
+                                 f"[{fused.min():.6g}, {fused.max():.6g}], outside [0, 1]")
     dmap = tracker.build_decision_map(fused, cfg["ensemble"]["threshold"])
     t = cfg["tracker"]
     tracks = tracker.glue_tracks(dmap, t["gap"], t["width"], t["min_duration"],
@@ -300,7 +310,7 @@ def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: st
         budget = tracker.ErrorBudget(t["alpha"], t["beta"])
         reports = tracker.apply_error_budget(tracks, budget, table)
     else:
-        reports = [tracker.EventReport(tr, True, 0.0, 1.0, 0.0) for tr in tracks]
+        reports = [tracker.EventReport(tr, True) for tr in tracks]
     tracker.write_event_reports(reports, out / "events.jsonl", pipeline.framing)
     admitted = sum(1 for r in reports if r.admitted)
     print(f"tracks: {len(tracks)} glued, {admitted} admitted -> {out / 'events.jsonl'}")

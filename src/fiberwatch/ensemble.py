@@ -77,17 +77,10 @@ def fuse(member_probs: np.ndarray, rule: str = "l2") -> np.ndarray:
     raise ConfigurationError(f"unknown fusion rule {rule!r}")
 
 
-def predict_fused(model: EnsembleModel, blobs: np.ndarray, rule: str = "l2",
-                  batch: int = 256) -> np.ndarray:
-    """Fused score vectors for a stack of blobs (N, subwindows, feature_dim)."""
-    outs = []
-    for net in model.members:
-        probs = []
-        for k in range(0, blobs.shape[0], batch):
-            p, _, _ = net.forward_batch(blobs[k:k + batch])
-            probs.append(p)
-        outs.append(np.concatenate(probs, axis=0))
-    return fuse(np.stack(outs), rule)
+def predict_fused(model: EnsembleModel, blobs: np.ndarray, rule: str = "l2") -> np.ndarray:
+    """Fused score vectors for a stack of blobs (N, subwindows, feature_dim),
+    in the members' precision."""
+    return fuse(np.stack([net.forward_batch(blobs)[0] for net in model.members]), rule)
 
 
 def save_ensemble(model: EnsembleModel, path) -> Path:

@@ -13,9 +13,16 @@ directly.  The backward pass rebuilds the same columns for the weight
 gradient, and the input gradient scatters the kernel-times-gradient
 columns back over the kh*kw offsets (col2im).  A batch is cut into chunks
 of samples whose columns fit in COLUMN_BUFFER_BYTES (4 MiB), so column
-memory does not grow with the batch.  In inference mode, convolution,
-max pooling and ReLU keep no backward cache, so each activation is freed
-as soon as the next layer has consumed it.
+memory does not grow with the batch.
+
+Inference keeps no backward cache and runs the whole layer chain over
+row chunks whose largest activation fits in INFER_BUFFER_BYTES (1 MiB),
+so each chunk's activations stay in cache from one layer to the next.
+Each ReLU directly followed by a max pool runs as the pool, then the
+ReLU in place: max and ReLU commute, so the result is exact and the
+ReLU touches only the pooled elements.  ``Network.astype`` makes a
+copy of a network in another precision; ``infer`` scores with float32
+copies of the float64 members.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ MAGIC = b"FWNET1\n"
 # Upper bound on one im2col column buffer; convolutions cut the batch into
 # row chunks that fit it, so memory stays flat as the batch grows.
 COLUMN_BUFFER_BYTES = 4 << 20
+# Upper bound on one inference row chunk's largest activation; inference
+# runs the whole network over chunks of rows that fit it.
+INFER_BUFFER_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +208,10 @@ class _Pool:
         b, c, h, w = x.shape
         _, ho, wo = self.out_shape
         if not train:
+            # Max over each window's columns, then over its rows.
             hs, ws = ho * self.ph, wo * self.pw
-            out = x[:, :, :hs:self.ph, :ws:self.pw].copy()
-            for a in range(self.ph):
-                for d in range(self.pw):
-                    if a or d:
-                        np.maximum(out, x[:, :, a:hs:self.ph, d:ws:self.pw], out=out)
-            return out, None
+            cols = _max_of([x[:, :, :hs, d:ws:self.pw] for d in range(self.pw)])
+            return _max_of([cols[:, :, a::self.ph] for a in range(self.ph)]), None
         xt = x[:, :, :ho * self.ph, :wo * self.pw]
         xr = (xt.reshape(b, c, ho, self.ph, wo, self.pw)
                 .transpose(0, 1, 2, 4, 3, 5)
@@ -225,6 +232,14 @@ class _Pool:
         dx = np.zeros(x_shape, dtype=dout.dtype)
         dx[:, :, :ho * self.ph, :wo * self.pw] = dxt
         return dx, []
+
+
+def _max_of(views):
+    """Elementwise maximum of same-shape arrays, as a new array."""
+    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+    for v in views[2:]:
+        np.maximum(out, v, out=out)
+    return out
 
 
 class _Relu:
@@ -321,6 +336,13 @@ class Network:
             self.layers.append(layer)
             shape = layer.out_shape
         self.head = _Dense(spec.n_classes, shape, rng, self.dtype)
+        self._row_bytes = self.dtype.itemsize * max(
+            int(np.prod(layer.out_shape)) for layer in self.layers + [self.head])
+        # Inference order: each ReLU directly followed by a pool swaps with it.
+        order = self._infer_order = list(self.layers)
+        for i in range(len(order) - 1):
+            if isinstance(order[i], _Relu) and isinstance(order[i + 1], _Pool):
+                order[i], order[i + 1] = order[i + 1], order[i]
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -329,16 +351,32 @@ class Network:
         out.extend(self.head.params())
         return out
 
+    def astype(self, dtype) -> "Network":
+        """A copy with parameters cast to ``dtype``; NumericError when a
+        parameter lies outside its range."""
+        net = Network(self.spec, dtype=dtype)
+        with np.errstate(over="ignore"):
+            for p, q in zip(net.parameters(), self.parameters()):
+                p[...] = q
+        if not all(np.isfinite(p).all() for p in net.parameters()):
+            raise NumericError(f"parameters exceed the range of {net.dtype.name}")
+        return net
+
     def forward_batch(self, x: np.ndarray, train: bool = False, rng=None):
-        """Returns (probs (B, n_classes), logits, caches)."""
-        x = np.asarray(x, dtype=self.dtype)
+        """Returns (probs (B, n_classes), logits, caches); caches is None in
+        inference mode."""
+        x = np.asarray(x)
         if x.ndim == 3:
             x = x[:, None, :, :]
         if x.shape[2:] != tuple(self.spec.input_shape):
             raise ConfigurationError(
                 f"input shape {x.shape[2:]} does not match spec {self.spec.input_shape}")
-        if train and rng is None:
+        if not train:
+            logits = self._infer_logits(x)
+            return softmax_batch(logits), logits, None
+        if rng is None:
             raise ConfigurationError("train-mode forward needs an rng for dropout")
+        x = x.astype(self.dtype, copy=False)
         caches = []
         for layer in self.layers:
             x, cache = layer.forward(x, train, rng)
@@ -346,6 +384,22 @@ class Network:
         logits, head_cache = self.head.forward(x, train, rng)
         caches.append(head_cache)
         return softmax_batch(logits), logits, caches
+
+    def _infer_logits(self, x: np.ndarray) -> np.ndarray:
+        """Inference-mode logits, the whole layer chain at a time over row
+        chunks whose largest activation fits in INFER_BUFFER_BYTES."""
+        rows = max(1, INFER_BUFFER_BYTES // self._row_bytes)
+        logits = np.empty((x.shape[0], self.spec.n_classes), dtype=self.dtype)
+        for lo in range(0, x.shape[0], rows):
+            h, owned = x[lo:lo + rows].astype(self.dtype, copy=False), False
+            for layer in self._infer_order:
+                if owned and isinstance(layer, _Relu):
+                    np.maximum(h, 0, out=h)
+                else:
+                    h, _ = layer.forward(h, False, None)
+                    owned = True
+            logits[lo:lo + rows], _ = self.head.forward(h, False, None)
+        return logits
 
     def backward_batch(self, caches, probs, targets) -> list[np.ndarray]:
         """Gradients of mean cross-entropy over the batch, aligned with parameters()."""

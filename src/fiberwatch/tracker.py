@@ -173,11 +173,14 @@ def calibrate_budget(tracks, truth_events) -> CalibrationTable:
 
 @dataclass
 class EventReport:
+    """A track, whether it is admitted, and the operating point of the
+    error budget that decided it (None without a calibration table)."""
+
     track: SignalEventTrack
     admitted: bool
-    threshold: float
-    expected_alpha: float
-    expected_beta: float
+    threshold: float | None = None
+    expected_alpha: float | None = None
+    expected_beta: float | None = None
 
 
 def apply_error_budget(tracks, budget: ErrorBudget,
@@ -204,7 +207,8 @@ def apply_error_budget(tracks, budget: ErrorBudget,
 
 def write_event_reports(reports, path, frame_cfg: FrameShaperConfig) -> None:
     """JSON lines, one per report; wall-clock spans come from the frame
-    indices under ``frame_cfg``."""
+    indices under ``frame_cfg``.  A report with an operating point also
+    writes its ``threshold``, ``expected_alpha`` and ``expected_beta``."""
     with open(path, "w") as fh:
         for r in reports:
             t = r.track
@@ -216,4 +220,7 @@ def write_event_reports(reports, path, frame_cfg: FrameShaperConfig) -> None:
                    "start_s": round(t.frame_begin * frame_cfg.step / SAMPLE_RATE_HZ, 3),
                    "end_s": round((t.frame_end * frame_cfg.step + frame_cfg.frame_size)
                                   / SAMPLE_RATE_HZ, 3)}
+            if r.threshold is not None:
+                row.update(threshold=r.threshold, expected_alpha=r.expected_alpha,
+                           expected_beta=r.expected_beta)
             fh.write(json.dumps(row) + "\n")

@@ -80,13 +80,9 @@ def cross_entropy_loss(scores: np.ndarray, targets: np.ndarray) -> float:
     return float(-(t * np.log(np.clip(p, 1e-12, None))).sum() / p.shape[0])
 
 
-def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray,
-                      batch: int = 256) -> float:
-    hits = 0
-    for k in range(0, x.shape[0], batch):
-        probs, _, _ = net.forward_batch(x[k:k + batch])
-        hits += int(np.sum(np.argmax(probs, axis=1) == y[k:k + batch]))
-    return hits / x.shape[0]
+def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
+    probs, _, _ = net.forward_batch(x)
+    return int(np.sum(np.argmax(probs, axis=1) == y)) / x.shape[0]
 
 
 def train_member(net: Network, train_set, test_set, cfg: TrainConfig):

@@ -325,6 +325,27 @@ class TestCriterion10:
                   f"{truth[0].chan_lo}, {truth[0].chan_hi}), "
                   f"background tracks {len(quiet_tracks)}")
 
+    def test_cli_infer_scores_in_float32(self, trained_pipeline, tmp_path):
+        """`infer` scores with float32 copies of the members: within 1e-6 of
+        the float64 ensemble, with the same decisions."""
+        model = trained_pipeline["model"]
+        descriptor = ensemble.save_ensemble(model, tmp_path / "model" / "ensemble.json")
+        spec = siggen.ScenarioSpec(30.0, 8, siggen.default_profiles()[0],
+                                   (siggen.EventSpec(6, 10.0, 20.0, 5, 7),), seed=1006)
+        stream, _ = siggen.render_scenario(spec, model.pipeline.framing)
+        raw = tmp_path / "event.i16"
+        raw.write_bytes(stream.samples.astype("<i2").tobytes())
+        assert cli.run(["--out", str(tmp_path / "infer"), "infer", "--stream", str(raw),
+                        "--channels", "8", "--model", str(descriptor)]) == 0
+        with np.load(tmp_path / "infer" / "scores.npz") as scores:
+            fused, decisions = scores["fused"], scores["decisions"]
+        want = training.stream_scores(siggen.load_stream(raw, 8), model)
+        assert fused.dtype == np.float32 and want.dtype == np.float64
+        assert fused.shape == want.shape
+        assert np.max(np.abs(fused - want)) <= 1e-6
+        assert np.array_equal(decisions, tracker.build_decision_map(want, 0.5).decisions)
+        assert np.any(decisions == 6)
+
 
 class TestCriterion11:
     def test_benchmark_throughput(self):

@@ -296,6 +296,16 @@ class TestInferMalformedStream:
         assert len(err.strip().splitlines()) == 1
 
 
+def test_infer_rejects_parameters_beyond_float32(tmp_path, capsys):
+    members = [Network(spec, seed=j) for j, spec in enumerate(reference_member_specs())]
+    members[1].head.w[0, 0] = 1e300
+    model = save_ensemble(EnsembleModel(members, NormalizerStats(np.zeros(64), np.ones(64))),
+                          tmp_path / "model" / "ensemble.json")
+    assert infer(tmp_path, model, np.ones(2 * 5000, "<i2").tobytes(), 2) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.strip() == "numeric failure: parameters exceed the range of float32"
+
+
 class TestBadConfigValues:
     STREAM = np.ones(2 * 5000, "<i2").tobytes()
 
@@ -556,7 +566,7 @@ class TestTrackMalformedScores:
         assert track(tmp_path, scores) == EXIT_CONFIG
         assert one_config_error_line(capsys, "shape")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_exit_4(self, tmp_path, capsys, rng, bad):
         fused = rng.dirichlet(np.ones(7), size=(6, 4))
         fused[2, 1, 3] = bad
@@ -566,3 +576,57 @@ class TestTrackMalformedScores:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "not all finite" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.int64, np.bool_])
+    def test_scores_that_are_not_real_floats_exit_2(self, tmp_path, capsys, rng, dtype):
+        fused = rng.dirichlet(np.ones(7), size=(6, 4)).astype(dtype)
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=fused)
+        assert track(tmp_path, scores) == EXIT_CONFIG
+        assert one_config_error_line(capsys, f"'fused' holds {fused.dtype} values")
+
+    @pytest.mark.parametrize("low, high", [(-1.0, -1.0), (0.0, 1.5), (-1e-3, 0.5)])
+    def test_scores_outside_unit_interval_exit_2(self, tmp_path, capsys, rng, low, high):
+        fused = rng.dirichlet(np.ones(7), size=(6, 4))
+        fused[0, 0, :2] = low, high
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=fused)
+        assert track(tmp_path, scores) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "outside [0, 1]")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_scores_are_tracked(self, tmp_path, rng, dtype):
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=rng.dirichlet(np.ones(7), size=(6, 4)).astype(dtype))
+        assert track(tmp_path, scores) == 0
+
+
+class TestTrackOperatingPoint:
+    TABLE = TestTrackMalformedCalibration.TABLE
+    TRACK_KEYS = ["class_id", "frame_begin", "frame_end", "chan_lo", "chan_hi",
+                  "center_channel", "mean_confidence", "admitted", "start_s", "end_s"]
+
+    def events(self, tmp_path, *calibration) -> list[dict]:
+        fused = np.full((20, 4, 7), 0.01)
+        fused[..., 0] = 0.94
+        fused[5:13, 1:3] = [0.04, 0.01, 0.01, 0.01, 0.01, 0.01, 0.91]
+        scores = tmp_path / "scores.npz"
+        np.savez(scores, fused=fused)
+        assert run(["--out", str(tmp_path / "track"), "track", "--scores", str(scores),
+                    *calibration]) == 0
+        text = (tmp_path / "track" / "events.jsonl").read_text()
+        return [json.loads(line) for line in text.splitlines()]
+
+    def test_calibrated_rows_carry_the_budget_pick(self, tmp_path):
+        table = tmp_path / "calibration.json"
+        table.write_text(json.dumps(self.TABLE))
+        events = self.events(tmp_path, "--calibration", str(table))
+        # tracker.alpha 0.5 admits the first threshold with alpha_hat <= 0.5.
+        assert [(e["class_id"], e["admitted"], e["threshold"], e["expected_alpha"],
+                 e["expected_beta"]) for e in events] == [(6, True, 0.5, 0.3, 0.2)]
+        assert list(events[0]) == self.TRACK_KEYS + ["threshold", "expected_alpha",
+                                                     "expected_beta"]
+
+    def test_uncalibrated_rows_have_no_operating_point(self, tmp_path):
+        events = self.events(tmp_path)
+        assert [list(e) for e in events] == [self.TRACK_KEYS]

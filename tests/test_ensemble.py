@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fiberwatch import tensornet
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.ensemble import (EnsembleModel, fuse, load_ensemble, predict_fused,
                                  save_ensemble, threshold_decide, vote_two_of_three)
@@ -131,13 +132,16 @@ class TestFuseL2:
         with pytest.raises(ConfigurationError):
             fuse(member_probs(rng), "mean")
 
-    def test_predict_fused_fuses_member_forward_passes(self, rng):
+    def test_predict_fused_fuses_member_forward_passes(self, rng, monkeypatch):
         model = EnsembleModel(tiny_members(seed=3), UNIT)
         blobs = rng.normal(size=(6, 4, 4))
         probs = np.stack([net.forward_batch(blobs)[0] for net in model.members])
+        # Row chunks of 2: the members' forward passes chunk the blobs.
+        monkeypatch.setattr(tensornet, "INFER_BUFFER_BYTES",
+                            2 * model.members[0]._row_bytes)
         for rule in ("l2", "max_confidence"):
-            batch = predict_fused(model, blobs, rule, batch=2)
-            assert np.allclose(batch, fuse(probs, rule), atol=1e-12)
+            chunked = predict_fused(model, blobs, rule)
+            assert np.allclose(chunked, fuse(probs, rule), atol=1e-12)
 
 
 class TestFuseMaxConfidence:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fiberwatch import tensornet
 from fiberwatch.errors import ConfigurationError, NonFiniteGradientError, NumericError
 from fiberwatch.tensornet import (COLUMN_BUFFER_BYTES, ConvSpec, DenseSpec,
                                   DropoutSpec, Network, NetworkSpec, PoolSpec,
@@ -200,6 +201,94 @@ class TestInferenceModeLayers:
         want, _ = layer.forward(x, True, None)
         assert got.dtype == dtype
         assert np.array_equal(got, want)
+
+
+def layer_by_layer_logits(net, x):
+    """Oracle: every layer in spec order over the whole batch, ReLU before pool."""
+    h = np.asarray(x, dtype=net.dtype)[:, None]
+    for layer in net.layers:
+        h, _ = layer.forward(h, False, None)
+    return net.head.forward(h, False, None)[0]
+
+
+def with_random_biases(net, rng):
+    for p in net.parameters():
+        if p.ndim == 1:
+            p[...] = rng.normal(scale=0.1, size=p.shape)
+    return net
+
+
+ODD = (15, 33)    # 3x3 conv -> (13, 31), which a 2x2 pool truncates to (6, 15)
+INFERENCE_SPECS = reference_member_specs() + [
+    NetworkSpec(ODD, (ConvSpec((3, 3), 4), ReluSpec(), PoolSpec((2, 2)),
+                      ConvSpec((2, 3), 5), ReluSpec(), PoolSpec((3, 2)), DenseSpec(6))),
+    NetworkSpec(ODD, (ConvSpec((3, 3), 4), ReluSpec(), ConvSpec((3, 3), 3), ReluSpec(),
+                      DenseSpec(6), ReluSpec(), DropoutSpec(0.25))),
+]
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS)
+    def test_equals_layer_by_layer_oracle(self, rng, spec):
+        net = with_random_biases(Network(spec, seed=5), rng)
+        x = rng.normal(size=(9,) + spec.input_shape)
+        probs, logits, caches = net.forward_batch(x)
+        want = layer_by_layer_logits(net, x)
+        assert caches is None
+        assert np.array_equal(logits, want)
+        assert np.array_equal(probs, softmax_batch(want))
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS[::3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_row_chunks_agree_with_one_chunk(self, rng, monkeypatch, spec, dtype, rows):
+        net = with_random_biases(Network(spec, seed=6, dtype=dtype), rng)
+        x = rng.normal(size=(7,) + spec.input_shape)
+        whole = net.forward_batch(x)[0]
+        chunks = []
+        head_forward = net.head.forward
+        monkeypatch.setattr(net.head, "forward",
+                            lambda h, *a: chunks.append(len(h)) or head_forward(h, *a))
+        monkeypatch.setattr(tensornet, "INFER_BUFFER_BYTES", rows * net._row_bytes)
+        for batch in (rows - 1, rows, rows + 1, 7):
+            chunks.clear()
+            got = net.forward_batch(x[:batch])[0]
+            assert chunks == [min(rows, batch - lo) for lo in range(0, batch, rows)]
+            assert got.dtype == dtype
+            assert np.allclose(got, whole[:batch], rtol=0,
+                               atol=1e-15 if dtype == np.float64 else 1e-7)
+
+    def test_input_left_untouched(self, rng):
+        net = Network(small_spec(ReluSpec(), PoolSpec((2, 2)), DenseSpec(4)), seed=0)
+        x = rng.normal(size=(3,) + INPUT)
+        before = x.copy()
+        net.forward_batch(x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("spec", reference_member_specs())
+    def test_float32_copy_casts_parameters_and_recomputes_chunks(self, rng, spec):
+        net = with_random_biases(Network(spec, seed=7), rng)
+        copy32 = net.astype(np.float32)
+        assert copy32.dtype == np.float32 and copy32.spec == spec
+        for p, q in zip(copy32.parameters(), net.parameters()):
+            assert p.dtype == np.float32
+            assert np.array_equal(p, q.astype(np.float32))
+            assert not np.shares_memory(p, q)
+        convs = [(a, b) for a, b in zip(copy32.layers, net.layers) if isinstance(a, _Conv)]
+        for a, b in convs:
+            _, ho, wo = a.out_shape
+            assert a.chunk == COLUMN_BUFFER_BYTES // (ho * wo * a.w[0].size * 4)
+            assert a.chunk > b.chunk
+        x = rng.normal(size=(5,) + spec.input_shape)
+        probs = copy32.forward_batch(x)[0]
+        assert probs.dtype == np.float32
+        assert np.allclose(probs, net.forward_batch(x)[0], rtol=0, atol=1e-6)
+
+    def test_float32_copy_rejects_parameters_beyond_its_range(self):
+        net = Network(small_spec(DenseSpec(4)), seed=0)
+        net.head.w[0, 0] = 1e300
+        with pytest.raises(NumericError, match="exceed the range of float32"):
+            net.astype(np.float32)
 
 
 class TestBackward:
