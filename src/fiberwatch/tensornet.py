@@ -15,14 +15,16 @@ columns back over the kh*kw offsets (col2im).  A batch is cut into chunks
 of samples whose columns fit in COLUMN_BUFFER_BYTES (4 MiB), so column
 memory does not grow with the batch.
 
-Inference keeps no backward cache and runs the whole layer chain over
-row chunks whose largest activation fits in INFER_BUFFER_BYTES (1 MiB),
-so each chunk's activations stay in cache from one layer to the next.
-Each ReLU directly followed by a max pool runs as the pool, then the
-ReLU in place: max and ReLU commute, so the result is exact and the
-ReLU touches only the pooled elements.  ``Network.astype`` makes a
-copy of a network in another precision; ``infer`` scores with float32
-copies of the float64 members.
+Training and inference run one layer list, in the order it runs: a ReLU
+directly followed by a max pool comes after that pool.  Max and ReLU
+commute, so this is exact, and the ReLU touches only pooled elements.
+Training runs the whole batch and keeps backward caches; inference keeps
+none and runs the whole chain over row chunks whose largest activation
+fits in INFER_BUFFER_BYTES (1 MiB), so each chunk stays in cache.
+
+Only ``Network(spec, seed)`` draws parameter values.  ``load_checkpoint``
+and ``Network.astype`` (a copy in another precision; ``infer`` scores
+with float32 copies) fill allocated arrays and draw nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import copy
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +54,13 @@ INFER_BUFFER_BYTES = 1 << 20
 # ---------------------------------------------------------------------------
 # Layer descriptors
 
+def _check_sizes(what: str, *sizes) -> None:
+    """ConfigurationError unless every size is a positive integer."""
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
+               for s in sizes):
+        raise ConfigurationError(f"{what} must be positive integers, got {sizes}")
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     kernel: tuple[int, int]
@@ -58,11 +68,18 @@ class ConvSpec:
     stride: int = 1
     kind: str = field(default="conv", init=False)
 
+    def __post_init__(self):
+        _check_sizes("conv kernel, channels and stride",
+                     *self.kernel, self.channels, self.stride)
+
 
 @dataclass(frozen=True)
 class PoolSpec:
     window: tuple[int, int] = (2, 2)
     kind: str = field(default="pool", init=False)
+
+    def __post_init__(self):
+        _check_sizes("pool window", *self.window)
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,9 @@ class DenseSpec:
     width: int
     kind: str = field(default="dense", init=False)
 
+    def __post_init__(self):
+        _check_sizes("dense width", self.width)
+
 
 _SPEC_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "relu": ReluSpec,
                "dropout": DropoutSpec, "dense": DenseSpec}
@@ -100,6 +120,9 @@ class NetworkSpec:
     input_shape: tuple[int, int] = (16, 64)
     layers: tuple = ()
     n_classes: int = CLASS_COUNT
+
+    def __post_init__(self):
+        _check_sizes("input shape and class count", *self.input_shape, self.n_classes)
 
     def to_dict(self) -> dict:
         return {"input_shape": list(self.input_shape), "n_classes": self.n_classes,
@@ -132,21 +155,20 @@ def reference_member_specs(input_shape=(16, 64)) -> list[NetworkSpec]:
 # Layers
 
 class _Conv:
-    def __init__(self, spec: ConvSpec, in_shape, rng, dtype):
+    def __init__(self, spec: ConvSpec, in_shape, dtype):
         c, h, w = in_shape
         kh, kw = spec.kernel
         if kh > h or kw > w:
             raise ConfigurationError(f"kernel {spec.kernel} exceeds input {in_shape}")
         self.stride = spec.stride
         self.kh, self.kw = kh, kw
-        fan_in = c * kh * kw
-        bound = 1.0 / np.sqrt(fan_in)
-        self.w = rng.uniform(-bound, bound, (spec.channels, c, kh, kw)).astype(dtype)
+        self.fan_in = c * kh * kw
+        self.w = np.empty((spec.channels, c, kh, kw), dtype=dtype)
         self.b = np.zeros(spec.channels, dtype=dtype)
         self.out_shape = (spec.channels,
                           (h - kh) // spec.stride + 1,
                           (w - kw) // spec.stride + 1)
-        col_bytes = self.out_shape[1] * self.out_shape[2] * fan_in * self.w.itemsize
+        col_bytes = self.out_shape[1] * self.out_shape[2] * self.fan_in * self.w.itemsize
         self.chunk = max(1, COLUMN_BUFFER_BYTES // col_bytes)
 
     def params(self):
@@ -200,46 +222,31 @@ class _Pool:
         self.out_shape = (c, h // self.ph, w // self.pw)
         if self.out_shape[1] < 1 or self.out_shape[2] < 1:
             raise ConfigurationError(f"pool window {spec.window} exceeds input {in_shape}")
+        _, ho, wo = self.out_shape
+        # (rows, cols) slices that pick offset k = a*pw + d of every window.
+        self.offsets = [(slice(a, ho * self.ph, self.ph), slice(d, wo * self.pw, self.pw))
+                        for a in range(self.ph) for d in range(self.pw)]
 
     def params(self):
         return []
 
     def forward(self, x, train, rng):
-        b, c, h, w = x.shape
         _, ho, wo = self.out_shape
+        hs, ws = ho * self.ph, wo * self.pw
+        # Max over each window's columns, then over its rows.
+        cols = reduce(np.maximum, [x[:, :, :hs, d:ws:self.pw] for d in range(self.pw)])
+        out = reduce(np.maximum, [cols[:, :, a::self.ph] for a in range(self.ph)])
         if not train:
-            # Max over each window's columns, then over its rows.
-            hs, ws = ho * self.ph, wo * self.pw
-            cols = _max_of([x[:, :, :hs, d:ws:self.pw] for d in range(self.pw)])
-            return _max_of([cols[:, :, a::self.ph] for a in range(self.ph)]), None
-        xt = x[:, :, :ho * self.ph, :wo * self.pw]
-        xr = (xt.reshape(b, c, ho, self.ph, wo, self.pw)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(b, c, ho, wo, self.ph * self.pw))
-        idx = np.argmax(xr, axis=-1)
-        out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        return out, (idx, x.shape)
+            return out, None
+        windows = np.stack([x[:, :, r, c] for r, c in self.offsets], axis=-1)
+        return out, (np.argmax(windows, axis=-1), x.shape)
 
     def backward(self, dout, cache):
         idx, x_shape = cache
-        b, c, h, w = x_shape
-        _, ho, wo = self.out_shape
-        dxr = np.zeros((b, c, ho, wo, self.ph * self.pw), dtype=dout.dtype)
-        np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-        dxt = (dxr.reshape(b, c, ho, wo, self.ph, self.pw)
-                  .transpose(0, 1, 2, 4, 3, 5)
-                  .reshape(b, c, ho * self.ph, wo * self.pw))
         dx = np.zeros(x_shape, dtype=dout.dtype)
-        dx[:, :, :ho * self.ph, :wo * self.pw] = dxt
+        for k, (r, c) in enumerate(self.offsets):
+            dx[:, :, r, c] = np.where(idx == k, dout, 0)
         return dx, []
-
-
-def _max_of(views):
-    """Elementwise maximum of same-shape arrays, as a new array."""
-    out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
-    for v in views[2:]:
-        np.maximum(out, v, out=out)
-    return out
 
 
 class _Relu:
@@ -250,10 +257,7 @@ class _Relu:
         return []
 
     def forward(self, x, train, rng):
-        if not train:
-            return np.maximum(x, 0), None
-        mask = x > 0
-        return x * mask, mask
+        return np.maximum(x, 0), (x > 0) if train else None
 
     def backward(self, dout, cache):
         return dout * cache, []
@@ -283,11 +287,10 @@ class _Dropout:
 
 
 class _Dense:
-    def __init__(self, width, in_shape, rng, dtype):
+    def __init__(self, width, in_shape, dtype):
         self.in_shape = in_shape
-        fan_in = int(np.prod(in_shape))
-        bound = 1.0 / np.sqrt(fan_in)
-        self.w = rng.uniform(-bound, bound, (fan_in, width)).astype(dtype)
+        self.fan_in = int(np.prod(in_shape))
+        self.w = np.empty((self.fan_in, width), dtype=dtype)
         self.b = np.zeros(width, dtype=dtype)
         self.out_shape = (width,)
 
@@ -313,16 +316,31 @@ class Network:
     """A realized NetworkSpec: parameter tensors plus batched forward/backward."""
 
     def __init__(self, spec: NetworkSpec, seed: int = 0, dtype=np.float64):
+        self._build(spec, dtype)
+        rng = np.random.default_rng([seed, 0x5EED])
+        for layer in self.layers + [self.head]:
+            if layer.params():
+                bound = 1.0 / np.sqrt(layer.fan_in)
+                layer.w[...] = rng.uniform(-bound, bound, layer.w.shape)
+
+    @classmethod
+    def _undrawn(cls, spec: NetworkSpec, dtype) -> "Network":
+        """A network whose parameter arrays are allocated but not drawn."""
+        net = cls.__new__(cls)
+        net._build(spec, dtype)
+        return net
+
+    def _build(self, spec: NetworkSpec, dtype) -> None:
+        """The layers in the order they run, with undrawn parameter arrays."""
         self.spec = spec
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng([seed, 0x5EED])
         shape = (1,) + tuple(spec.input_shape)
         self.layers = []
         for ls in spec.layers:
             if ls.kind == "conv":
                 if len(shape) != 3:
                     raise ConfigurationError("conv layer after flattening dense layer")
-                layer = _Conv(ls, shape, rng, self.dtype)
+                layer = _Conv(ls, shape, self.dtype)
             elif ls.kind == "pool":
                 layer = _Pool(ls, shape)
             elif ls.kind == "relu":
@@ -330,31 +348,28 @@ class Network:
             elif ls.kind == "dropout":
                 layer = _Dropout(ls, shape)
             elif ls.kind == "dense":
-                layer = _Dense(ls.width, shape, rng, self.dtype)
+                layer = _Dense(ls.width, shape, self.dtype)
             else:
                 raise ConfigurationError(f"unknown layer kind {ls.kind!r}")
-            self.layers.append(layer)
+            if isinstance(layer, _Pool) and self.layers and isinstance(self.layers[-1], _Relu):
+                # A ReLU directly before a pool runs after it, on the pooled
+                # elements: max and ReLU commute.
+                self.layers[-1].out_shape = layer.out_shape
+                self.layers.insert(-1, layer)
+            else:
+                self.layers.append(layer)
             shape = layer.out_shape
-        self.head = _Dense(spec.n_classes, shape, rng, self.dtype)
+        self.head = _Dense(spec.n_classes, shape, self.dtype)
         self._row_bytes = self.dtype.itemsize * max(
             int(np.prod(layer.out_shape)) for layer in self.layers + [self.head])
-        # Inference order: each ReLU directly followed by a pool swaps with it.
-        order = self._infer_order = list(self.layers)
-        for i in range(len(order) - 1):
-            if isinstance(order[i], _Relu) and isinstance(order[i + 1], _Pool):
-                order[i], order[i + 1] = order[i + 1], order[i]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        out.extend(self.head.params())
-        return out
+        return [p for layer in self.layers + [self.head] for p in layer.params()]
 
     def astype(self, dtype) -> "Network":
         """A copy with parameters cast to ``dtype``; NumericError when a
         parameter lies outside its range."""
-        net = Network(self.spec, dtype=dtype)
+        net = Network._undrawn(self.spec, dtype)
         with np.errstate(over="ignore"):
             for p, q in zip(net.parameters(), self.parameters()):
                 p[...] = q
@@ -364,42 +379,27 @@ class Network:
 
     def forward_batch(self, x: np.ndarray, train: bool = False, rng=None):
         """Returns (probs (B, n_classes), logits, caches); caches is None in
-        inference mode."""
+        inference mode.  Training runs the whole batch at once; inference
+        runs row chunks whose largest activation fits in INFER_BUFFER_BYTES."""
         x = np.asarray(x)
         if x.ndim == 3:
             x = x[:, None, :, :]
         if x.shape[2:] != tuple(self.spec.input_shape):
             raise ConfigurationError(
                 f"input shape {x.shape[2:]} does not match spec {self.spec.input_shape}")
-        if not train:
-            logits = self._infer_logits(x)
-            return softmax_batch(logits), logits, None
-        if rng is None:
+        if train and rng is None:
             raise ConfigurationError("train-mode forward needs an rng for dropout")
-        x = x.astype(self.dtype, copy=False)
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x, train, rng)
-            caches.append(cache)
-        logits, head_cache = self.head.forward(x, train, rng)
-        caches.append(head_cache)
+        rows = max(1, len(x) if train else INFER_BUFFER_BYTES // self._row_bytes)
+        logits = np.empty((len(x), self.spec.n_classes), dtype=self.dtype)
+        caches = [] if train else None
+        for lo in range(0, len(x), rows):
+            h = x[lo:lo + rows].astype(self.dtype, copy=False)
+            for layer in self.layers + [self.head]:
+                h, cache = layer.forward(h, train, rng)
+                if train:
+                    caches.append(cache)
+            logits[lo:lo + rows] = h
         return softmax_batch(logits), logits, caches
-
-    def _infer_logits(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode logits, the whole layer chain at a time over row
-        chunks whose largest activation fits in INFER_BUFFER_BYTES."""
-        rows = max(1, INFER_BUFFER_BYTES // self._row_bytes)
-        logits = np.empty((x.shape[0], self.spec.n_classes), dtype=self.dtype)
-        for lo in range(0, x.shape[0], rows):
-            h, owned = x[lo:lo + rows].astype(self.dtype, copy=False), False
-            for layer in self._infer_order:
-                if owned and isinstance(layer, _Relu):
-                    np.maximum(h, 0, out=h)
-                else:
-                    h, _ = layer.forward(h, False, None)
-                    owned = True
-            logits[lo:lo + rows], _ = self.head.forward(h, False, None)
-        return logits
 
     def backward_batch(self, caches, probs, targets) -> list[np.ndarray]:
         """Gradients of mean cross-entropy over the batch, aligned with parameters()."""
@@ -456,47 +456,6 @@ def sgd_step(net: Network, grads, lr: float, momentum: float = 0.0,
     return net, velocity
 
 
-def gradient_check(net: Network, blob, target_onehot, eps: float = 1e-5,
-                   max_per_tensor: int = 40, seed: int = 0) -> float:
-    """Worst relative error between backprop and central finite differences.
-
-    Dropout masks are frozen by reseeding the same rng for every forward,
-    so the loss is a deterministic function of the parameters.
-    """
-    values = np.asarray(blob, dtype=np.float64)
-    t = np.asarray(target_onehot, dtype=np.float64)[None]
-
-    def loss() -> float:
-        probs, _, _ = net.forward_batch(values[None], train=True,
-                                        rng=np.random.default_rng(seed))
-        p = np.clip(probs, 1e-300, None)
-        return float(-(t * np.log(p)).sum())
-
-    probs, _, caches = net.forward_batch(values[None], train=True,
-                                         rng=np.random.default_rng(seed))
-    grads = net.backward_batch(caches, probs, t)
-
-    rng = np.random.default_rng([seed, 0xC4EC])
-    worst = 0.0
-    for p, g in zip(net.parameters(), grads):
-        flat_idx = np.arange(p.size)
-        if p.size > max_per_tensor:
-            flat_idx = rng.choice(p.size, size=max_per_tensor, replace=False)
-        for i in flat_idx:
-            orig = p.flat[i]
-            p.flat[i] = orig + eps
-            up = loss()
-            p.flat[i] = orig - eps
-            down = loss()
-            p.flat[i] = orig
-            numeric = (up - down) / (2 * eps)
-            # Floor the denominator: below ~1e-6 the central difference is
-            # dominated by roundoff, not by backprop error.
-            denom = max(abs(numeric), abs(g.flat[i]), 1e-6)
-            worst = max(worst, abs(numeric - g.flat[i]) / denom)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -530,8 +489,8 @@ def load_checkpoint(path) -> Network:
         header = json.loads(raw[pos - hlen:pos])
         if header["dtype"] not in ("float32", "float64"):
             raise ConfigurationError(f"unsupported dtype {header['dtype']!r}")
-        net = Network(NetworkSpec.from_dict(header["spec"]), seed=0,
-                      dtype=np.dtype(header["dtype"]))
+        net = Network._undrawn(NetworkSpec.from_dict(header["spec"]),
+                               np.dtype(header["dtype"]))
         if [list(p.shape) for p in net.parameters()] != header["shapes"]:
             raise ConfigurationError("tensor shapes do not match the layer spec")
         for p in net.parameters():

@@ -20,7 +20,7 @@ from scipy import ndimage
 from . import CLASS_COUNT, SAMPLE_RATE_HZ
 from .ensemble import threshold_decide
 from .errors import ConfigurationError, NumericError
-from .framing import FrameShaperConfig
+from .framing import FrameShaperConfig, frame_bounds
 
 
 @dataclass
@@ -212,14 +212,15 @@ def write_event_reports(reports, path, frame_cfg: FrameShaperConfig) -> None:
     with open(path, "w") as fh:
         for r in reports:
             t = r.track
+            first, _ = frame_bounds(t.frame_begin, frame_cfg)
+            _, last = frame_bounds(t.frame_end, frame_cfg)
             row = {"class_id": t.class_id, "frame_begin": t.frame_begin,
                    "frame_end": t.frame_end, "chan_lo": t.chan_lo,
                    "chan_hi": t.chan_hi, "center_channel": t.center_channel,
                    "mean_confidence": round(t.mean_confidence, 6),
                    "admitted": r.admitted,
-                   "start_s": round(t.frame_begin * frame_cfg.step / SAMPLE_RATE_HZ, 3),
-                   "end_s": round((t.frame_end * frame_cfg.step + frame_cfg.frame_size)
-                                  / SAMPLE_RATE_HZ, 3)}
+                   "start_s": round(first / SAMPLE_RATE_HZ, 3),
+                   "end_s": round((last + 1) / SAMPLE_RATE_HZ, 3)}
             if r.threshold is not None:
                 row.update(threshold=r.threshold, expected_alpha=r.expected_alpha,
                            expected_beta=r.expected_beta)

@@ -18,6 +18,8 @@ from fiberwatch.features import NormalizerStats
 from fiberwatch.tensornet import Network, reference_member_specs
 from fiberwatch.training import one_hot
 
+from test_tensornet import rewrite_header, with_layer
+
 
 def tree_digest(root: Path) -> dict:
     out = {}
@@ -488,6 +490,15 @@ class TestModelPipeline:
         member.write_bytes(member.read_bytes()[:-5])
         assert infer(tmp_path, model, self.STREAM, 2) == EXIT_CONFIG
         assert one_config_error_line(capsys, "truncated")
+
+    # Layers 0, 2 and 6 of a reference member: its first conv, first pool
+    # and dense layer.
+    @pytest.mark.parametrize("edit", [with_layer(0, stride=0), with_layer(2, window=[0, 2]),
+                                      with_layer(0, kernel=[5, 0]), with_layer(6, width=0)])
+    def test_checkpoint_with_a_zero_size_exits_2(self, tmp_path, capsys, model, edit):
+        rewrite_header(model.with_suffix(".c2.net"), edit)
+        assert infer(tmp_path, model, self.STREAM, 2) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "must be positive integers, got")
 
 
 def track(tmp_path, scores) -> int:

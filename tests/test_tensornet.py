@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,9 +8,11 @@ from fiberwatch import tensornet
 from fiberwatch.errors import ConfigurationError, NonFiniteGradientError, NumericError
 from fiberwatch.tensornet import (COLUMN_BUFFER_BYTES, ConvSpec, DenseSpec,
                                   DropoutSpec, Network, NetworkSpec, PoolSpec,
-                                  ReluSpec, _Conv, _Pool, _Relu, gradient_check,
+                                  ReluSpec, _Conv, _Dropout, _Pool, _Relu,
                                   load_checkpoint, reference_member_specs,
                                   save_checkpoint, sgd_step, softmax_batch)
+
+from gradcheck import gradient_check
 
 INPUT = (8, 12)
 
@@ -127,6 +130,14 @@ def einsum_conv_backward(dout, x, w, stride):
     return dx, dw, dout.sum(axis=(0, 2, 3))
 
 
+def drawn_conv(spec, in_shape, rng, dtype):
+    """A conv layer with weights drawn as ``Network`` draws them."""
+    layer = _Conv(spec, in_shape, dtype)
+    bound = 1.0 / np.sqrt(layer.fan_in)
+    layer.w[...] = rng.uniform(-bound, bound, layer.w.shape)
+    return layer
+
+
 def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
@@ -142,7 +153,7 @@ class TestConvAgainstEinsumOracle:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_and_gradients_match(self, dtype, kernel, channels, stride):
         rng = np.random.default_rng([channels, stride, *kernel])
-        layer = _Conv(ConvSpec(kernel, 6, stride), (channels, 11, 17), rng, dtype)
+        layer = drawn_conv(ConvSpec(kernel, 6, stride), (channels, 11, 17), rng, dtype)
         layer.b[...] = rng.normal(size=layer.b.shape)
         batch = 7
         for chunk in (layer.chunk, 3):   # one chunk, and chunks of 3, 3, 1
@@ -161,7 +172,7 @@ class TestConvAgainstEinsumOracle:
                 assert rel_err(got.astype(np.float64), want) <= tol
 
     def test_first_layer_input_gradient_skipped(self, rng):
-        layer = _Conv(ConvSpec((3, 3), 4), (2, 8, 12), rng, np.float64)
+        layer = drawn_conv(ConvSpec((3, 3), 4), (2, 8, 12), rng, np.float64)
         x = rng.normal(size=(5, 2, 8, 12))
         dout = rng.normal(size=(5,) + layer.out_shape)
         _, cache = layer.forward(x, True, None)
@@ -181,34 +192,44 @@ class TestConvAgainstEinsumOracle:
                 assert layer.chunk * row_bytes <= max(COLUMN_BUFFER_BYTES, row_bytes)
 
 
-class TestInferenceModeLayers:
-    @pytest.mark.parametrize("window", [(2, 2), (3, 2), (1, 3)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_pool_infer_equals_train(self, rng, window, dtype):
-        layer = _Pool(PoolSpec(window), (3, 9, 13))
-        x = rng.normal(size=(4, 3, 9, 13)).astype(dtype)
-        got, _ = layer.forward(x, False, None)
-        want, _ = layer.forward(x, True, None)
-        assert got.dtype == dtype
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_relu_infer_equals_train(self, rng, dtype):
-        layer = _Relu((3, 5, 7))
-        x = rng.normal(size=(4, 3, 5, 7)).astype(dtype)
-        x[0, 0, 0, :3] = [0.0, -0.0, np.inf]
-        got, _ = layer.forward(x, False, None)
-        want, _ = layer.forward(x, True, None)
-        assert got.dtype == dtype
-        assert np.array_equal(got, want)
+def spec_order_layers(net):
+    """Oracle layer list: the spec's own order, ReLU before pool.  The
+    parameter layers are the network's; pools, ReLUs and dropouts are new."""
+    params = iter([layer for layer in net.layers if layer.params()])
+    shape, layers = (1,) + tuple(net.spec.input_shape), []
+    for ls in net.spec.layers:
+        if ls.kind == "pool":
+            layer = _Pool(ls, shape)
+        elif ls.kind == "relu":
+            layer = _Relu(shape)
+        elif ls.kind == "dropout":
+            layer = _Dropout(ls, shape)
+        else:
+            layer = next(params)
+        layers.append(layer)
+        shape = layer.out_shape
+    return layers + [net.head]
 
 
-def layer_by_layer_logits(net, x):
-    """Oracle: every layer in spec order over the whole batch, ReLU before pool."""
+def spec_order_forward(net, x, train=False, rng=None):
+    """Oracle: every spec-order layer over the whole batch; (logits, layers, caches)."""
+    layers, caches = spec_order_layers(net), []
     h = np.asarray(x, dtype=net.dtype)[:, None]
-    for layer in net.layers:
-        h, _ = layer.forward(h, False, None)
-    return net.head.forward(h, False, None)[0]
+    for layer in layers:
+        h, cache = layer.forward(h, train, rng)
+        caches.append(cache)
+    return h, layers, caches
+
+
+def spec_order_gradients(net, x, targets, rng):
+    """Oracle train-mode logits and every parameter's gradient, back through
+    the spec-order layers."""
+    logits, layers, caches = spec_order_forward(net, x, True, rng)
+    d, grads = (softmax_batch(logits) - targets) / len(x), []
+    for layer, cache in zip(layers[::-1], caches[::-1]):
+        d, layer_grads = layer.backward(d, cache)
+        grads = list(layer_grads) + grads
+    return logits, grads
 
 
 def with_random_biases(net, rng):
@@ -224,20 +245,65 @@ INFERENCE_SPECS = reference_member_specs() + [
                       ConvSpec((2, 3), 5), ReluSpec(), PoolSpec((3, 2)), DenseSpec(6))),
     NetworkSpec(ODD, (ConvSpec((3, 3), 4), ReluSpec(), ConvSpec((3, 3), 3), ReluSpec(),
                       DenseSpec(6), ReluSpec(), DropoutSpec(0.25))),
+    # ReLU -> pool on the input itself, so that input ties reach the windows.
+    NetworkSpec((9, 13), (ReluSpec(), PoolSpec((3, 2)), ConvSpec((2, 2), 3),
+                          ReluSpec(), PoolSpec((1, 3)), DenseSpec(5))),
 ]
 
 
-class TestInferenceForward:
-    @pytest.mark.parametrize("spec", INFERENCE_SPECS)
-    def test_equals_layer_by_layer_oracle(self, rng, spec):
-        net = with_random_biases(Network(spec, seed=5), rng)
-        x = rng.normal(size=(9,) + spec.input_shape)
-        probs, logits, caches = net.forward_batch(x)
-        want = layer_by_layer_logits(net, x)
-        assert caches is None
-        assert np.array_equal(logits, want)
-        assert np.array_equal(probs, softmax_batch(want))
+def oracle_case(rng, spec, dtype, ties, batch=9):
+    """A network and a batch.  With ``ties``, the inputs and conv weights
+    are small integers and conv biases 0, so every conv output is exact and
+    pool windows hold ties and all-negative values."""
+    net = with_random_biases(Network(spec, seed=5, dtype=dtype), rng)
+    if not ties:
+        return net, rng.normal(size=(batch,) + spec.input_shape)
+    for layer in net.layers:
+        if isinstance(layer, _Conv):
+            layer.w[...] = rng.integers(-1, 2, layer.w.shape)
+            layer.b[...] = 0
+    return net, rng.integers(-2, 3, (batch,) + spec.input_shape).astype(np.float64)
 
+
+class TestOneLayerOrder:
+    """Both modes run each pool before the ReLU the spec puts ahead of it;
+    the oracle runs the spec's order, and every output must be equal."""
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_inference_equals_spec_order_oracle(self, rng, spec, dtype, ties):
+        net, x = oracle_case(rng, spec, dtype, ties)
+        x[0, 0, :3] = [0.0, -0.0, np.inf]
+        with np.errstate(invalid="ignore"):     # inf - inf in row 0
+            probs, logits, caches = net.forward_batch(x)
+            want = spec_order_forward(net, x)[0]
+        assert caches is None
+        assert logits.dtype == probs.dtype == dtype
+        assert np.array_equal(logits, want, equal_nan=True)
+        assert np.array_equal(probs, softmax_batch(want), equal_nan=True)
+        assert np.isfinite(logits[1:]).all()
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_train_logits_and_gradients_equal_spec_order_oracle(self, rng, spec, dtype,
+                                                                ties):
+        net, x = oracle_case(rng, spec, dtype, ties)
+        targets = np.eye(7)[rng.integers(7, size=len(x))]
+        probs, logits, caches = net.forward_batch(x, train=True,
+                                                  rng=np.random.default_rng(3))
+        grads = net.backward_batch(caches, probs, targets)
+        want_logits, want_grads = spec_order_gradients(net, x, targets,
+                                                       np.random.default_rng(3))
+        assert logits.dtype == dtype
+        assert np.array_equal(logits, want_logits)
+        assert len(grads) == len(want_grads) == len(net.parameters())
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want)
+
+
+class TestInferenceForward:
     @pytest.mark.parametrize("spec", INFERENCE_SPECS[::3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -417,6 +483,67 @@ class TestSgdStep:
             assert np.array_equal(b, p)
 
 
+# sha256 of each reference member's parameter bytes, recorded while each
+# layer still drew its own parameters as it was built.
+PARAMETER_DIGESTS = {
+    (0, 0, "float64"): "97d494c46155447b6e7a98387811d610c050e2b03d333036efc2125c45d925d9",
+    (0, 1, "float64"): "6998c07f0a35633475ea537e54143e600cbfeb7950ada684587bd9b46a9bda97",
+    (0, 2, "float64"): "005c41cb1b03c2be15c3a9f4e0a0e1fad6c96525f48677407b623a5f184fe952",
+    (1, 0, "float64"): "89c5e66a4e13ae2232bcde8a477b6f0c2391b46d80833b0f256682a1eeffb4c9",
+    (1, 1, "float64"): "b52d945ca6888698eb0a3ea4fd5b7d05c68ba8faefd209cd11922ac6dca87076",
+    (1, 2, "float64"): "77beac755ccb3743ab1d1b0a2d63e92dc7779330e5f343015ca3bdbd2bde981c",
+    (2, 0, "float64"): "75f191b274dc675a39475675ce70a2e1c91f8e9c575a81bc793ebc94d3e19726",
+    (2, 1, "float64"): "b13eb6c722d564efafa7aa3ecd55899f0a4cee4438f7623bc238ae0737dff0cb",
+    (2, 2, "float64"): "20a3a62c886584aeb171c91d23b090c9dcc15f86dc2de68b0f3e67f8ab4f93e0",
+    (0, 0, "float32"): "ea179cf51f66405d7419307d661b46e1aa08f744fe801005463e76212bff3217",
+    (1, 0, "float32"): "b9c025bea982ca2aa7264dca9c93861b08e96acc670d545acdb5ee6c29157e12",
+    (2, 0, "float32"): "dcf1cdfb155784a80ae42754b809e9709e859807f1018c7cb5dfeb816b29328d",
+}
+
+
+class TestInitialization:
+    @pytest.mark.parametrize(("member", "seed", "dtype"), sorted(PARAMETER_DIGESTS))
+    def test_parameters_keep_their_recorded_bytes(self, member, seed, dtype):
+        net = Network(reference_member_specs()[member], seed=seed, dtype=dtype)
+        raw = b"".join(p.astype(p.dtype.newbyteorder("<")).tobytes()
+                       for p in net.parameters())
+        assert hashlib.sha256(raw).hexdigest() == PARAMETER_DIGESTS[member, seed, dtype]
+
+    def test_copies_and_loads_draw_nothing(self, tmp_path, monkeypatch):
+        net = Network(reference_member_specs()[1], seed=4)
+        save_checkpoint(net, tmp_path / "member.net")
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        monkeypatch.setattr(tensornet.np.random, "default_rng", no_rng)
+        for filled in (net.astype(np.float32), load_checkpoint(tmp_path / "member.net")):
+            for p, q in zip(filled.parameters(), net.parameters()):
+                assert np.array_equal(p, q.astype(filled.dtype))
+
+
+def rewrite_header(path, edit) -> None:
+    """Pass a checkpoint's JSON header through ``edit``."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[7:11], "little")
+    header = json.dumps(edit(json.loads(raw[11:11 + hlen]))).encode()
+    path.write_bytes(raw[:7] + len(header).to_bytes(4, "little") + header
+                     + raw[11 + hlen:])
+
+
+def with_layer(i, **fields):
+    """A header edit that replaces ``fields`` of the spec's layer ``i``."""
+    def edit(h):
+        layers = [dict(layer) for layer in h["spec"]["layers"]]
+        layers[i].update(fields)
+        return {**h, "spec": {**h["spec"], "layers": layers}}
+    return edit
+
+
+def with_spec(**fields):
+    return lambda h: {**h, "spec": {**h["spec"], **fields}}
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path, rng):
         net = Network(reference_member_specs()[1], seed=12)
@@ -444,7 +571,8 @@ class TestCheckpoint:
     @pytest.fixture
     def saved(self, tmp_path):
         path = tmp_path / "member.net"
-        save_checkpoint(Network(small_spec(ConvSpec((3, 3), 4), DenseSpec(8)), seed=3), path)
+        save_checkpoint(Network(small_spec(ConvSpec((3, 3), 4), PoolSpec((2, 2)),
+                                           DenseSpec(8)), seed=3), path)
         return path
 
     @pytest.mark.parametrize("keep", [0, 5, 9, 30, -1])
@@ -469,13 +597,18 @@ class TestCheckpoint:
         lambda h: {**h, "shapes": h["shapes"][:-1]},
         lambda h: {k: v for k, v in h.items() if k != "spec"},
         lambda h: [h],
+        with_layer(0, stride=0),
+        with_layer(0, kernel=[0, 3]),
+        with_layer(0, channels=0),
+        with_layer(0, stride=1.5),
+        with_layer(1, window=[2, 0]),
+        with_layer(2, width=0),
+        with_layer(2, width=True),
+        with_spec(input_shape=[8, 0]),
+        with_spec(n_classes=0),
     ])
     def test_bad_header_rejected(self, saved, edit):
-        raw = saved.read_bytes()
-        hlen = int.from_bytes(raw[7:11], "little")
-        header = json.dumps(edit(json.loads(raw[11:11 + hlen]))).encode()
-        saved.write_bytes(raw[:7] + len(header).to_bytes(4, "little") + header
-                          + raw[11 + hlen:])
+        rewrite_header(saved, edit)
         with pytest.raises(ConfigurationError, match="member.net"):
             load_checkpoint(saved)
 
