@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +319,10 @@ def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: st
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="fiberwatch",
         description="vibration-event recognition pipeline for fiber-optic sensor streams")

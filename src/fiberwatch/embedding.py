@@ -144,7 +144,8 @@ def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
 def _tsne_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     q, num = _q_matrix(y)
     w = (p - q) * num
-    return 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+    # (diag(row sums) - w) @ y, without the N x N diagonal matrix
+    return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
 def tsne(points: np.ndarray, cfg: EmbeddingConfig, kl_trace: list | None = None) -> np.ndarray:

@@ -10,6 +10,7 @@ consume, after standardization against frozen training-set statistics.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .framing import FrameShaperConfig
 POWER_FLOOR = 1e-10 * float(ADC_FULL_SCALE) ** 2
 # Floor of a normalizer deviation, so a constant feature divides by a finite value.
 STD_FLOOR = 1e-8
+# Upper bound on one feature chunk's largest temporary: sub-windows and
+# feature rows are processed in chunks that fit it, so each stays in cache.
+FEATURE_BUFFER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,43 +118,152 @@ def _band_matrix(n_fft: int, cfg: FeatureConfig) -> np.ndarray:
     return bank / np.sum(ham * ham)
 
 
-def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    """Vectorized feature rows for a stack of equal-length sub-windows.
+@lru_cache(maxsize=16)
+def _spectral_tables(sub_len: int, cfg: FeatureConfig) -> tuple:
+    """Fixed tables for sub-windows of ``sub_len`` samples, built once per
+    (sub_len, cfg) and process, and read-only: the FFT length, the
+    truncated Hamming window, the band matrix as (bins, weights) of shape
+    (most bins in a band, bands): row q holds each band's q-th bin and its
+    weight, padded with bin 0 at weight 0, twice the window's spectrum H,
+    and |H|^2 @ bank."""
+    n_fft = 1 << (sub_len - 1).bit_length()
+    ham = np.hamming(n_fft)[:sub_len]
+    bank = _band_matrix(n_fft, cfg)
+    members = [np.nonzero(col)[0] for col in bank.T]
+    bins = np.zeros((max(map(len, members)), len(members)), dtype=np.intp)
+    weights = np.zeros(bins.shape)
+    for j, idx in enumerate(members):
+        bins[:idx.size, j] = idx
+        weights[:idx.size, j] = bank[idx, j]
+    h = np.fft.rfft(ham, n=n_fft)
+    window_power = np.empty(bank.shape[1])
+    _band_sums((h.real * h.real + h.imag * h.imag)[None], bins, weights, window_power[None])
+    h *= 2.0
+    for table in (ham, bins, weights, h, window_power):
+        table.setflags(write=False)
+    return n_fft, ham, bins, weights, h, window_power
 
-    ``windows`` has shape (..., sub_len); the result appends the feature
-    axis of length ``cfg.feature_dim``: the log band powers of the Hamming
-    windowed periodogram (zero-padded to a power of two, floored at
+
+def _band_sums(per_bin: np.ndarray, bins: np.ndarray, weights: np.ndarray,
+               out: np.ndarray) -> None:
+    """``per_bin`` (n, bins) @ bank into ``out`` (n, bands), adding each
+    band's bins in a fixed order, so a row does not depend on the other rows
+    of the call, as a matrix product's blocking can make it."""
+    np.multiply(per_bin[:, bins[0]], weights[0], out=out)
+    for b, wt in zip(bins[1:], weights[1:]):
+        out += per_bin[:, b] * wt
+
+
+def _subwindow_stats(w: np.ndarray, tables: tuple, power: np.ndarray,
+                     cross: np.ndarray, st: np.ndarray) -> None:
+    """Statistics of the sub-windows ``w`` (n, sub_len), written to
+    ``power`` and ``cross`` (n, bands): |X|^2 @ bank and 2 Re(X conj H) @
+    bank, and to ``st`` (7, n): first sample, mean after subtracting it,
+    m2, excess kurtosis, skewness, max and min.  X is the spectrum of the
+    centered Hamming windowed sub-window, H that of the window; moments and
+    extremes are of the centered samples.  Shifting by the first sample,
+    then centering, keeps a stream offset out of the spectrum and the
+    moments.  A constant sub-window gets 0 kurtosis and skewness."""
+    n_fft, ham, bins, weights, h2, _ = tables
+    st[0] = w[:, 0]
+    c = w - st[0][:, None]
+    st[1] = c.mean(axis=1)
+    c -= st[1][:, None]
+    spec = np.fft.rfft(c * ham, n=n_fft, axis=1)
+    per_bin = spec.real * spec.real
+    per_bin += spec.imag * spec.imag
+    _band_sums(per_bin, bins, weights, power)
+    np.multiply(spec.real, h2.real, out=per_bin)
+    per_bin += spec.imag * h2.imag
+    _band_sums(per_bin, bins, weights, cross)
+    c.max(axis=1, out=st[5])
+    c.min(axis=1, out=st[6])
+    # Kurtosis and skewness are scale-free; taking the moments of the
+    # samples scaled to unit peak keeps a decayed sub-window's powers from
+    # underflowing.
+    peak = np.maximum(st[5], -st[6])
+    live = peak > 0.0
+    c *= np.where(live, 1.0 / np.where(live, peak, 1.0), 0.0)[:, None]
+    c2 = c * c
+    m2 = np.einsum("ij,ij->i", c, c) / c.shape[1]
+    safe_m2 = np.where(live, m2, 1.0)
+    st[2] = m2 * (peak * peak)
+    st[3] = np.where(live, np.einsum("ij,ij->i", c2, c2) / c.shape[1]
+                     / (safe_m2 * safe_m2) - 3.0, 0.0)
+    st[4] = np.where(live, np.einsum("ij,ij->i", c2, c) / c.shape[1]
+                     / (safe_m2 * np.sqrt(safe_m2)), 0.0)
+
+
+def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig, pick=None,
+                       mean=0.0, sd=1.0) -> np.ndarray:
+    """Vectorized feature rows of standardized sub-windows.
+
+    ``windows`` has shape (..., sub_len).  Alone, each sub-window gives one
+    row, and the result appends the feature axis of length
+    ``cfg.feature_dim`` to the leading axes: the log band powers of the
+    Hamming windowed periodogram (zero-padded to a power of two, floored at
     POWER_FLOOR), then excess kurtosis, skewness, RMS and peak factor.
     A zero-variance sub-window gets 0 kurtosis and skewness instead of
     failing, and an all-zero one also gets a 0 peak factor.
+
+    ``pick`` indexes the flattened leading axes instead; the result has
+    shape ``pick.shape + (feature_dim,)``, and each row is the row of the
+    standardized sub-window ``(windows[pick] - mean) / sd``, with ``mean``
+    and ``sd`` broadcast against ``pick``.  An ``sd`` of 0 (a dead channel,
+    see ``framing.running_stats``) gives the row of an all-zero sub-window.
+    Each sub-window is transformed once, however often it is picked: the
+    standardization is applied to its statistics, which is exact, since it
+    is an affine map.  With X the spectrum of the centered sub-window, H
+    that of the window and delta its mean minus ``mean``, a band power is
+    (|X|^2 + 2 delta Re(X conj H) + delta^2 |H|^2) @ bank / sd^2; central
+    moments scale by powers of ``sd``, and the extremes shift by delta.
     """
     w = np.asarray(windows, dtype=np.float64)
     sub_len = w.shape[-1]
     if sub_len < 8:
         raise ConfigurationError("sub-windows must hold at least 8 samples")
-    n_fft = 1 << (sub_len - 1).bit_length()
-    spec = np.fft.rfft(w * np.hamming(n_fft)[:sub_len], n=n_fft, axis=-1)
-    power = spec.real * spec.real
-    power += spec.imag * spec.imag
-    out = np.empty(w.shape[:-1] + (cfg.feature_dim,))
+    if pick is None:
+        pick = np.arange(w.size // sub_len).reshape(w.shape[:-1])
+    shape = np.shape(pick)
+    pick = np.reshape(pick, -1)
+    mean = np.broadcast_to(mean, shape).reshape(-1)
+    sd = np.broadcast_to(sd, shape).reshape(-1)
+    w = w.reshape(-1, sub_len)
+    tables = _spectral_tables(sub_len, cfg)
+    n_fft, window_power = tables[0], tables[-1]
     nb = cfg.bank_bands
-    bands = power @ _band_matrix(n_fft, cfg)
-    np.log(np.maximum(bands, POWER_FLOOR, out=bands), out=out[..., :nb])
 
-    d = w - w.mean(axis=-1, keepdims=True)
-    d2 = d * d
-    m2 = d2.mean(axis=-1)
-    m3 = (d2 * d).mean(axis=-1)
-    m4 = (d2 * d2).mean(axis=-1)
-    ok = m2 > 0.0
-    safe_m2 = np.where(ok, m2, 1.0)
-    out[..., nb] = np.where(ok, m4 / (safe_m2 * safe_m2) - 3.0, 0.0)
-    out[..., nb + 1] = np.where(ok, m3 / (safe_m2 * np.sqrt(safe_m2)), 0.0)
-    rms = np.sqrt((w * w).mean(axis=-1))
-    safe_rms = np.where(rms > 0.0, rms, 1.0)
-    out[..., nb + 2] = rms
-    out[..., nb + 3] = np.where(rms > 0.0, np.abs(w).max(axis=-1) / safe_rms, 0.0)
-    return out
+    power, cross = np.empty((2, w.shape[0], nb))
+    st = np.empty((7, w.shape[0]))
+    step = max(1, FEATURE_BUFFER_BYTES // (8 * n_fft))
+    for lo in range(0, w.shape[0], step):
+        part = slice(lo, lo + step)
+        _subwindow_stats(w[part], tables, power[part], cross[part], st[:, part])
+    first, shifted_mean, m2, kurt, skew, top, bottom = st
+
+    out = np.empty((pick.size, cfg.feature_dim))
+    step = max(1, FEATURE_BUFFER_BYTES // (8 * nb))
+    for lo in range(0, pick.size, step):
+        rows = slice(lo, lo + step)
+        u = pick[rows]
+        live = sd[rows] > 0.0
+        inv_sd = np.where(live, 1.0 / np.where(live, sd[rows], 1.0), 0.0)
+        delta = (first[u] - mean[rows]) + shifted_mean[u]
+        bands = cross[u]
+        bands += delta[:, None] * window_power
+        bands *= delta[:, None]
+        bands += power[u]
+        bands *= (inv_sd * inv_sd)[:, None]
+        np.log(np.maximum(bands, POWER_FLOOR, out=bands), out=out[rows, :nb])
+        o = out[rows]
+        o[:, nb] = np.where(live, kurt[u], 0.0)
+        o[:, nb + 1] = np.where(live, skew[u], 0.0)
+        spread = np.sqrt(m2[u] + delta * delta)
+        o[:, nb + 2] = spread * inv_sd
+        peak = np.maximum(np.abs(top[u] + delta), np.abs(bottom[u] + delta))
+        o[:, nb + 3] = np.where(live & (spread > 0.0),
+                                peak / np.where(spread > 0.0, spread, 1.0), 0.0)
+    return out.reshape(shape + (cfg.feature_dim,))
 
 
 def fit_normalizer(blobs) -> NormalizerStats:

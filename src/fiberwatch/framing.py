@@ -4,17 +4,24 @@ The shaper cuts each channel's sample stream into overlapping frames of
 ``frame_size`` samples.  Frame ``n`` starts at ``n * frame_size /
 overlap_factor`` and spans ``frame_size`` samples, so ``overlap_factor=1``
 tiles the stream and larger factors slide the window in fractional steps.
+Channel adaptation standardizes frame ``n`` as (x - mu_n) / sd_n with its
+channel's running statistics; ``running_stats`` gives mu_n and sd_n, and
+``features.blobs_from_windows`` applies the map to sub-window statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
 
 from . import SAMPLE_RATE_HZ, NYQUIST_HZ
 from .errors import ConfigurationError
+
+# A running standard deviation at or below this marks a dead channel.
+DEAD_SD = 1e-6
 
 
 @dataclass
@@ -65,6 +72,16 @@ def frame_count(n_samples: int, cfg: FrameShaperConfig) -> int:
     return (n_samples - cfg.frame_size) // cfg.step + 1
 
 
+@lru_cache(maxsize=16)
+def _bandpass_sos(f_lo: float, f_hi: float) -> np.ndarray:
+    """The 4th-order Butterworth band-pass design, built once per band and
+    process; read-only, so callers filter with a copy."""
+    sos = signal.butter(4, [f_lo, f_hi], btype="bandpass",
+                        fs=SAMPLE_RATE_HZ, output="sos")
+    sos.setflags(write=False)
+    return sos
+
+
 def primary_filter(stream: IntensityStream, band=(5.0, 800.0)) -> IntensityStream:
     """Zero-phase band-pass over every channel.
 
@@ -76,8 +93,8 @@ def primary_filter(stream: IntensityStream, band=(5.0, 800.0)) -> IntensityStrea
         raise ConfigurationError(
             f"band must satisfy 0 <= lo < hi <= {NYQUIST_HZ:.0f} Hz, got {band}"
         )
-    sos = signal.butter(4, [f_lo, f_hi], btype="bandpass",
-                        fs=SAMPLE_RATE_HZ, output="sos")
+    # scipy's compiled filter loop refuses a read-only coefficient array.
+    sos = _bandpass_sos(float(f_lo), float(f_hi)).copy()
     filtered = signal.sosfiltfilt(sos, stream.samples, axis=1)
     return IntensityStream(filtered)
 
@@ -95,24 +112,24 @@ def frame_matrix(stream: IntensityStream, cfg: FrameShaperConfig) -> np.ndarray:
     return windows[:, ::cfg.step][:, :total]
 
 
-def adapt_frames(frames: np.ndarray, decay: float, index=np.s_[:, :]) -> np.ndarray:
-    """Standardize each frame by its channel's running mean and variance.
+def running_stats(frames: np.ndarray, decay: float,
+                  index=np.s_[:, :]) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's adaptation: its channel's running mean and standard deviation.
 
     ``frames`` is (channels, n_frames, frame_size).  Per channel, the mean
     and variance of every frame feed an exponential moving average with
     weight ``decay`` per frame, started at the first frame's statistics, so
-    decay 0 freezes them there.  Frame n is standardized by the averages
-    after its own update.  A running standard deviation at or below 1e-6
-    (a dead channel) yields zeros.  ``index`` picks entries of the
-    (channels, n_frames) grid; the result keeps the frame axis last.
-    ``features.Pipeline`` checks that ``decay`` lies in [0, 1].
+    decay 0 freezes them there.  Frame n is standardized as (x - mean) / sd
+    with the averages after its own update.  A running standard deviation
+    at or below DEAD_SD (a dead channel) is returned as 0: such a frame
+    standardizes to zeros.  ``index`` picks entries of the (channels,
+    n_frames) grid for both results.  ``features.Pipeline`` checks that
+    ``decay`` lies in [0, 1].
     """
     run_m = frames.mean(axis=2)
     run_v = frames.var(axis=2)
     for i in range(1, run_m.shape[1]):
         run_m[:, i] = (1 - decay) * run_m[:, i - 1] + decay * run_m[:, i]
         run_v[:, i] = (1 - decay) * run_v[:, i - 1] + decay * run_v[:, i]
-    raw = frames[index]
-    mu = run_m[index][..., None]
-    sd = np.sqrt(np.maximum(run_v[index], 0.0))[..., None]
-    return np.where(sd > 1e-6, (raw - mu) / np.where(sd > 0, sd, 1.0), 0.0)
+    sd = np.sqrt(np.maximum(run_v[index], 0.0))
+    return run_m[index], np.where(sd > DEAD_SD, sd, 0.0)

@@ -21,8 +21,8 @@ from .errors import (ConfigurationError, DivergenceError, MissingDataError,
                      NonFiniteGradientError)
 from .features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
                        fit_normalizer, standardize)
-from .framing import (FrameShaperConfig, adapt_frames, frame_count, frame_matrix,
-                      primary_filter)
+from .framing import (FrameShaperConfig, frame_count, frame_matrix, primary_filter,
+                      running_stats)
 from .siggen import load_stream
 from .tensornet import Network, reference_member_specs, sgd_step
 from .ensemble import EnsembleModel, predict_fused, threshold_decide
@@ -173,8 +173,9 @@ def train_ensemble(train_set, test_set, normalizer: NormalizerStats, pipeline: P
 
     With ``relabel_confidence`` set, the trained ensemble then relabels the
     training set, and if any label changed, each member trains on for a
-    quarter of the epochs at half the rate (seed ``cfg.seed + 100 + j``).
-    Returns (model, per-member histories, relabel changes).
+    quarter of the epochs at half the rate (seed ``cfg.seed + 100 + j``);
+    its history then continues with those epochs.  Returns (model,
+    per-member histories, relabel changes).
     """
     specs = reference_member_specs((pipeline.features.subwindows,
                                     pipeline.features.feature_dim))
@@ -196,7 +197,10 @@ def train_ensemble(train_set, test_set, normalizer: NormalizerStats, pipeline: P
                              seed=cfg.seed + 100 + j)
                 model.members[j], history = train_member(
                     model.members[j], (x_train, new_labels), test_set, tc)
-                histories[j].records.extend(history.records)
+                # Fine-tune epochs number on from the first run's.
+                start = len(histories[j].records)
+                histories[j].records.extend(replace(r, epoch=start + r.epoch)
+                                            for r in history.records)
     return model, histories, changes
 
 
@@ -220,7 +224,9 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     ``cells`` restricts output to the given (frame, channel) pairs; None
     produces every frame of every channel, channel by channel.  Returns
     (blob stack, cells).  A stream shorter than one frame raises
-    MissingDataError.
+    MissingDataError.  Each distinct sub-window the cells cover is
+    featurized once, with every cell's adaptation applied to its
+    statistics (see ``blobs_from_windows``).
     """
     Pipeline(fr_cfg, band, adapt_decay, ft_cfg)
     if frame_count(stream.sample_count, fr_cfg) == 0:
@@ -232,10 +238,17 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     n_ch, n_fr, _ = frames.shape
     if cells is None:
         cells = [(n, l) for l in range(n_ch) for n in range(n_fr)]
-    sel = np.array([(l, n) for n, l in cells], dtype=np.int64)
-    normed = adapt_frames(frames, adapt_decay, (sel[:, 0], sel[:, 1]))
-    windows = normed.reshape(len(cells), ft_cfg.subwindows, -1)
-    blobs = blobs_from_windows(windows, ft_cfg)
+    sel = np.array([(l, n) for n, l in cells], dtype=np.int64).reshape(-1, 2)
+    mean, sd = running_stats(frames, adapt_decay, (sel[:, 0], sel[:, 1]))
+    sub_len = fr_cfg.frame_size // ft_cfg.subwindows
+    # Offset of every cell's sub-windows in the flattened (channel-major) samples.
+    starts = (sel[:, :1] * stream.sample_count + sel[:, 1:] * fr_cfg.step
+              + np.arange(ft_cfg.subwindows) * sub_len)
+    distinct, pick = np.unique(starts, return_inverse=True)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        filtered.samples.reshape(-1), sub_len)[distinct]
+    blobs = blobs_from_windows(windows[None], ft_cfg, pick.reshape(starts.shape),
+                               mean[:, None], sd[:, None])
     return blobs, cells
 
 

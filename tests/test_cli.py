@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import io
@@ -37,6 +38,28 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class TestParser:
+    def test_back_to_back_runs_behave_as_in_fresh_processes(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        assert run(["--config", str(cfg), "--seed", "5", "--out", "a", "gen"]) == 0
+        with pytest.raises(SystemExit) as err:
+            run(["--out", "b", "infer", "--stream", "s.i16", "--channels", "two",
+                 "--model", "m.json"])
+        assert err.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert run(["--out", "c", "track", "--scores", "missing.npz"]) == EXIT_MISSING
+        assert run(["--config", str(cfg), "--out", "d", "gen"]) == 0
+        assert run(["--config", str(cfg), "--seed", "11", "--out", "e", "gen"]) == 0
+        seeds = [json.loads((tmp_path / d / "config.json").read_text())["seed"]
+                 for d in "ade"]
+        assert seeds == [5, 11, 11]
+        assert (tmp_path / "d" / "manifest.jsonl").read_bytes() == \
+            (tmp_path / "e" / "manifest.jsonl").read_bytes()
+        assert not (tmp_path / "b").exists()
 
 
 class TestConfigValidation:
@@ -178,6 +201,20 @@ class TestEvalCommand:
             assert report["precision_pct"][c] is not None
         assert all(v is not None for v in report["f1_pct"])
         assert "prec." in capsys.readouterr().out
+
+
+class TestTrainCommand:
+    def test_relabel_fine_tune_continues_the_epoch_column(self, tmp_path, dataset):
+        cfg = write_config(tmp_path, training={"epochs": 4, "relabel": True,
+                                               "relabel_confidence": 0.0})
+        out = tmp_path / "model"
+        assert run(["--config", str(cfg), "--out", str(out), "train", "--data",
+                    str(dataset)]) == 0
+        assert (out / "relabel.jsonl").read_text()      # labels changed: fine-tune ran
+        for j in (1, 2, 3):
+            with open(out / f"history_c{j}.csv") as fh:
+                epochs = [int(row["epoch"]) for row in csv.DictReader(fh)]
+            assert epochs == list(range(5))
 
 
 def manifest_test_entries(dataset) -> list[dict]:

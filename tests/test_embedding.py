@@ -5,7 +5,8 @@ import pytest
 
 from fiberwatch.embedding import (EmbeddingConfig, center_distances,
                                   conditional_affinities, joint_affinities,
-                                  median_centers, mst, pca, tsne, _sq_dists)
+                                  median_centers, mst, pca, tsne, _q_matrix, _sq_dists,
+                                  _tsne_gradient)
 from fiberwatch.errors import ConfigurationError, NumericError
 
 # Normalized inter-center distances of the 7 signal classes (reference values).
@@ -111,6 +112,16 @@ class TestTsne:
             nz = row > 0
             entropy = -(row[nz] * np.log(row[nz])).sum()
             assert abs(entropy - np.log(target)) <= 1e-3
+
+    def test_gradient_matches_the_diagonal_form(self, rng):
+        pts = rng.normal(size=(90, 5))
+        p = joint_affinities(conditional_affinities(_sq_dists(pts), 20.0)[0])
+        y = rng.normal(0, 1e-2, (90, 3))
+        q, num = _q_matrix(y)
+        w = (p - q) * num
+        oracle = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
+        got = _tsne_gradient(p, y)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()
 
     def test_kl_non_increasing_after_exaggeration(self, rng):
         pts, _ = three_blobs(rng, per=40, spread=0.3, sep=5.0)

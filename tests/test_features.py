@@ -6,7 +6,8 @@ from fiberwatch.errors import ConfigurationError
 from fiberwatch.features import (POWER_FLOOR, STD_FLOOR, FeatureConfig, NormalizerStats,
                                  Pipeline, _band_matrix, blobs_from_windows,
                                  fit_normalizer, standardize)
-from fiberwatch.framing import FrameShaperConfig
+from fiberwatch.framing import FrameShaperConfig, IntensityStream, frame_matrix, running_stats
+from frame_oracle import adapt_frames
 
 NB = FeatureConfig().bank_bands
 
@@ -170,6 +171,61 @@ class TestBatchMatchesScalarDefinitions:
             want = np.concatenate([filter_bank_energies(w, cfg.band_edges()), time_stats(w)])
             np.testing.assert_allclose(got[idx], want, rtol=1e-12, atol=1e-12)
         assert np.all(got[2, 1, cfg.bank_bands:] == 0.0)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))
+
+
+class TestAdaptationOnStatistics:
+    """Rows from sub-window statistics against the materialized oracle:
+    standardize each frame, then featurize its sub-windows."""
+
+    def offset_stream(self, rng, frames=12):
+        """+5 DL offset; channel 1 dead, channel 2 dead for its first half,
+        channel 3 crossing the dead threshold."""
+        n = (frames + 1) * 1024
+        x = 5.0 + rng.normal(0, 30, (4, n)) * rng.uniform(0.5, 2.0, (4, 1))
+        x[1] = 5.0
+        x[2, :n // 2] = 5.0
+        x[3] = 5.0 + rng.normal(0, 1.0, n) * np.where(np.arange(n) < n // 2, 5e-7, 2e-6)
+        return x
+
+    def test_shared_subwindows_match_standardized_frames(self, rng):
+        cfg, fr_cfg = FeatureConfig(), FrameShaperConfig()
+        x = self.offset_stream(rng)
+        frames = frame_matrix(IntensityStream(x), fr_cfg)
+        n_ch, n_fr, _ = frames.shape
+        mean, sd = running_stats(frames, 0.05)
+        # Overlap 2 with 16 sub-windows: frame n's sub-window j is tile 8n + j.
+        tiles = x[:, :(n_fr + 1) * 1024].reshape(n_ch, -1, 128)
+        pick = (np.arange(n_ch)[:, None, None] * tiles.shape[1]
+                + 8 * np.arange(n_fr)[None, :, None] + np.arange(16))
+        got = blobs_from_windows(tiles, cfg, pick, mean[..., None], sd[..., None])
+        normed = adapt_frames(frames, 0.05)
+        want = np.stack([[blobs_from_windows(f.reshape(16, -1), cfg) for f in ch]
+                         for ch in normed])
+        assert got.shape == want.shape == (n_ch, n_fr, 16, cfg.feature_dim)
+        assert relative_error(got, want) <= 1e-9
+        dead = sd == 0.0
+        assert dead[1].all() and dead[2, 0] and not dead[2, -1] and not dead[0].any()
+        assert 0 < dead[3].sum() < n_fr
+        dead_row = np.r_[np.full(NB, np.log(POWER_FLOOR)), np.zeros(4)]
+        assert np.array_equal(got[dead], np.broadcast_to(dead_row, got[dead].shape))
+        assert np.array_equal(want[dead], got[dead])
+
+    def test_repeated_picks_equal_single_rows(self, rng):
+        cfg = FeatureConfig()
+        windows = 5.0 + rng.normal(0, 30, (6, 128))
+        pick = np.array([[3, 0], [3, 5], [1, 3]])
+        mean = np.array([[4.0], [6.5], [-2.0]])
+        sd = np.array([[20.0], [0.0], [45.0]])
+        got = blobs_from_windows(windows, cfg, pick, mean, sd)
+        for r, c in np.ndindex(pick.shape):
+            live = sd[r, 0] > 0.0
+            w = (windows[pick[r, c]] - mean[r, 0]) / sd[r, 0] if live else np.zeros(128)
+            want = blobs_from_windows(w, cfg)
+            assert relative_error(got[r, c], want) <= 1e-12
 
 
 class TestNormalizer:

@@ -3,9 +3,10 @@ import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.errors import ConfigurationError
-from fiberwatch.framing import (FrameShaperConfig, IntensityStream, adapt_frames,
+from fiberwatch.framing import (DEAD_SD, FrameShaperConfig, IntensityStream,
                                 frame_bounds, frame_count, frame_matrix,
-                                primary_filter)
+                                primary_filter, running_stats)
+from frame_oracle import adapt_frames
 
 
 def tone(freq, duration_s=2.0, amp=100.0):
@@ -115,50 +116,76 @@ class TestPrimaryFilter:
             primary_filter(stream, (5.0, 900.0))
 
 
-class TestAdaptFrames:
-    def test_constant_stream_goes_to_zero_after_warmup(self):
-        out = adapt_frames(np.full((1, 5, 256), 42.0), 0.05)
-        assert out.shape == (1, 5, 256)
-        assert np.all(out == 0.0)
+class TestRunningStats:
+    def test_constant_stream_is_dead(self):
+        mean, sd = running_stats(np.full((1, 5, 256), 42.0), 0.05)
+        assert mean.shape == sd.shape == (1, 5)
+        assert np.all(mean == 42.0) and np.all(sd == 0.0)
 
     def test_frozen_state_is_identity(self, rng):
         x = rng.normal(size=(1, 6, 512)) * np.arange(1, 7)[None, :, None]
         x[0, 0] = (x[0, 0] - x[0, 0].mean()) / x[0, 0].std()
-        out = adapt_frames(x, 0.0)
-        assert np.allclose(out, x, atol=1e-12)
+        mean, sd = running_stats(x, 0.0)
+        assert np.allclose(mean, 0.0, atol=1e-12) and np.allclose(sd, 1.0, atol=1e-12)
 
     def test_decay_zero_freezes_at_first_frame_statistics(self, rng):
         x = rng.normal(5.0, 3.0, (2, 8, 256)) * rng.uniform(1, 50, (2, 8, 1))
-        out = adapt_frames(x, 0.0)
-        m0 = x[:, :1].mean(axis=2, keepdims=True)
-        s0 = x[:, :1].std(axis=2, keepdims=True)
-        assert np.allclose(out, (x - m0) / s0, rtol=1e-12, atol=1e-12)
+        mean, sd = running_stats(x, 0.0)
+        assert np.array_equal(mean, np.repeat(x[:, :1].mean(axis=2), 8, axis=1))
+        assert np.allclose(sd, x[:, :1].std(axis=2), rtol=1e-12, atol=0.0)
+
+    def test_moving_average_of_frame_moments(self, rng):
+        x = rng.normal(0, 1, (2, 7, 128)) * rng.uniform(1, 20, (2, 7, 1)) + 4.0
+        decay = 0.3
+        mean, sd = running_stats(x, decay)
+        for l in range(2):
+            m, v = x[l, 0].mean(), x[l, 0].var()
+            for n in range(7):
+                if n:
+                    m = (1 - decay) * m + decay * x[l, n].mean()
+                    v = (1 - decay) * v + decay * x[l, n].var()
+                assert mean[l, n] == pytest.approx(m, rel=1e-14)
+                assert sd[l, n] == pytest.approx(np.sqrt(v), rel=1e-14)
 
     def test_degenerate_variance_still_updates(self, rng):
         x = rng.normal(0, 10, (1, 6, 64))
         x[0, 0] = 3.0
-        out = adapt_frames(x, 0.5)
-        assert np.all(out[0, 0] == 0.0)
-        assert np.all(np.abs(out[0, 1:]).max(axis=1) > 0.0)
+        _, sd = running_stats(x, 0.5)
+        assert sd[0, 0] == 0.0
+        assert np.all(sd[0, 1:] > DEAD_SD)
 
     def test_gain_step_recovers_rms(self, rng):
         decay = 0.05
         base = rng.normal(0, 10, (50, 256))
         stepped = rng.normal(0, 100, (int(10 / decay), 256))
-        out = adapt_frames(np.concatenate([base, stepped])[None], decay)
-        rms = np.sqrt(np.mean(out[0] ** 2, axis=1))
+        x = np.concatenate([base, stepped])[None]
+        mean, sd = running_stats(x, decay)
+        rms = np.sqrt(np.mean((x[0] - mean[0, :, None]) ** 2, axis=1)) / sd[0]
         assert abs(rms[-1] - rms[49]) <= 0.2 * rms[49]
 
-    def test_dead_channel_gives_zeros_and_spares_the_others(self, rng):
+    def test_dead_channel_is_zero_and_spares_the_others(self, rng):
         x = rng.normal(0, 30, (3, 10, 128))
         x[1] = 17.0
-        out = adapt_frames(x, 0.05)
-        assert np.all(out[1] == 0.0)
-        assert np.array_equal(out[[0, 2]], adapt_frames(x[[0, 2]], 0.05))
-        assert np.all(np.abs(out[[0, 2]]).max(axis=2) > 0.0)
+        mean, sd = running_stats(x, 0.05)
+        assert np.all(sd[1] == 0.0) and np.all(mean[1] == 17.0)
+        alone = running_stats(x[[0, 2]], 0.05)
+        assert np.array_equal(mean[[0, 2]], alone[0])
+        assert np.array_equal(sd[[0, 2]], alone[1])
+        assert np.all(sd[[0, 2]] > DEAD_SD)
 
     def test_index_picks_grid_entries(self, rng):
         x = rng.normal(0, 30, (3, 10, 64))
         chans, frames = np.array([2, 0, 1]), np.array([9, 0, 4])
-        picked = adapt_frames(x, 0.05, (chans, frames))
-        assert np.array_equal(picked, adapt_frames(x, 0.05)[chans, frames])
+        picked = running_stats(x, 0.05, (chans, frames))
+        full = running_stats(x, 0.05)
+        assert np.array_equal(picked[0], full[0][chans, frames])
+        assert np.array_equal(picked[1], full[1][chans, frames])
+
+    def test_oracle_standardizes_live_frames_and_zeroes_dead_ones(self, rng):
+        x = rng.normal(0, 30, (2, 10, 64)) + 5.0
+        x[1, :4] = 5.0
+        out = adapt_frames(x, 0.05)
+        mean, sd = running_stats(x, 0.05)
+        assert np.all(out[1, :4] == 0.0)
+        live = sd > 0.0
+        assert np.array_equal(out[live], (x[live] - mean[live][:, None]) / sd[live][:, None])

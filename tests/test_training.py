@@ -4,13 +4,15 @@ import pytest
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.ensemble import EnsembleModel, predict_fused
 from fiberwatch.errors import ConfigurationError, DivergenceError
-from fiberwatch.features import FeatureConfig, NormalizerStats, Pipeline, standardize
-from fiberwatch.framing import FrameShaperConfig, IntensityStream
+from fiberwatch.features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
+                                 standardize)
+from fiberwatch.framing import FrameShaperConfig, IntensityStream, frame_matrix, primary_filter
 from fiberwatch.siggen import generate_dataset, save_dataset
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
 from fiberwatch.training import (TrainConfig, cross_entropy_loss, dataset_labels,
                                  load_dataset_features, one_hot, relabel_dataset,
                                  stream_features, stream_scores, train_member)
+from frame_oracle import adapt_frames
 
 BLOB_SHAPE = (4, 6)
 
@@ -199,6 +201,29 @@ class TestStreamPipeline:
         part, _ = stream_features(stream, FrameShaperConfig(), FeatureConfig(),
                                   cells=pick)
         assert np.array_equal(part, full[[4, 0, len(cells) - 1]])
+
+    @pytest.mark.parametrize("frame_size, overlap, cells", [
+        (2048, 2, None),
+        # step 512 is no multiple of the 96-sample sub-windows
+        (1536, 3, None),
+        (2048, 1, None),
+        # duplicate and unsorted cells
+        (2048, 2, [(5, 2), (0, 1), (5, 2), (3, 0), (0, 1), (1, 2)]),
+    ])
+    def test_rows_match_standardized_frames(self, rng, frame_size, overlap, cells):
+        stream = self.stream(rng, seconds=6)
+        stream.samples[1] = 0.0
+        stream.samples[2, :stream.sample_count // 2] = 0.0
+        fr_cfg, ft_cfg = FrameShaperConfig(frame_size, overlap), FeatureConfig()
+        got, cells = stream_features(stream, fr_cfg, ft_cfg, 0.05, (5.0, 800.0), cells)
+        frames = frame_matrix(primary_filter(stream, (5.0, 800.0)), fr_cfg)
+        chans, frame_idx = [l for _, l in cells], [n for n, _ in cells]
+        normed = adapt_frames(frames, 0.05, (chans, frame_idx))
+        want = np.stack([blobs_from_windows(f.reshape(ft_cfg.subwindows, -1), ft_cfg)
+                         for f in normed])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-9
+        assert np.array_equal(got == 0.0, want == 0.0)
 
     def test_subwindows_must_divide_frame(self, rng):
         with pytest.raises(ConfigurationError, match="not divisible by 7"):
