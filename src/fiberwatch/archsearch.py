@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError
 from .tensornet import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkSpec,
                         PoolSpec, ReluSpec)
-from .training import TrainConfig, evaluate_accuracy, train_member
+from .training import TrainConfig, train_member
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,10 @@ def fitness_eval(spec: NetworkSpec, cfg: TrainConfig, train_set, test_set,
     """Validation accuracy after a short training budget; divergence scores 0."""
     net = Network(spec, seed=seed)
     try:
-        best, _ = train_member(net, train_set, test_set, cfg)
+        _, history = train_member(net, train_set, test_set, cfg)
     except DivergenceError:
         return 0.0
-    x_test, y_test = test_set
-    return evaluate_accuracy(best, np.asarray(x_test), np.asarray(y_test))
+    return history.records[history.best_epoch()].test_accuracy
 
 
 def architecture_fitness(space: SearchSpace, train_set, test_set,

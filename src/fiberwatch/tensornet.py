@@ -11,16 +11,16 @@ offset (i, j) for every output pixel in row-major order, so the reshaped
 (O, C*kh*kw) kernel times the columns gives the (O, Ho, Wo) output
 directly.  The backward pass rebuilds the same columns for the weight
 gradient, and the input gradient scatters the kernel-times-gradient
-columns back over the kh*kw offsets (col2im).  A batch is cut into chunks
-of samples whose columns fit in COLUMN_BUFFER_BYTES (4 MiB), so column
-memory does not grow with the batch.
+columns back over the kh*kw offsets (col2im).
 
 Training and inference run one layer list, in the order it runs: a ReLU
 directly followed by a max pool comes after that pool.  Max and ReLU
 commute, so this is exact, and the ReLU touches only pooled elements.
-Training runs the whole batch and keeps backward caches; inference keeps
-none and runs the whole chain over row chunks whose largest activation
-fits in INFER_BUFFER_BYTES (1 MiB), so each chunk stays in cache.
+Both modes run the whole chain over row chunks whose largest activation
+fits in ROW_BUFFER_BYTES (1 MiB), so each chunk stays in cache and memory
+does not grow with the batch; column buffers are bounded only through
+the rows they are built from.  Training keeps each chunk's backward
+caches, and the backward pass sums the chunks' parameter gradients.
 
 Only ``Network(spec, seed)`` draws parameter values.  ``load_checkpoint``
 and ``Network.astype`` (a copy in another precision; ``infer`` scores
@@ -43,12 +43,9 @@ from .errors import ConfigurationError, NonFiniteGradientError, NumericError
 
 MAGIC = b"FWNET1\n"
 
-# Upper bound on one im2col column buffer; convolutions cut the batch into
-# row chunks that fit it, so memory stays flat as the batch grows.
-COLUMN_BUFFER_BYTES = 4 << 20
-# Upper bound on one inference row chunk's largest activation; inference
-# runs the whole network over chunks of rows that fit it.
-INFER_BUFFER_BYTES = 1 << 20
+# Upper bound on one row chunk's largest activation; training and inference
+# run the whole network over chunks of rows that fit it.
+ROW_BUFFER_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +165,6 @@ class _Conv:
         self.out_shape = (spec.channels,
                           (h - kh) // spec.stride + 1,
                           (w - kw) // spec.stride + 1)
-        col_bytes = self.out_shape[1] * self.out_shape[2] * self.fan_in * self.w.itemsize
-        self.chunk = max(1, COLUMN_BUFFER_BYTES // col_bytes)
 
     def params(self):
         return [self.w, self.b]
@@ -182,12 +177,8 @@ class _Conv:
         return win.transpose(0, 1, 4, 5, 2, 3).reshape(len(x), self.w[0].size, -1)
 
     def forward(self, x, train, rng):
-        out = np.empty((x.shape[0],) + self.out_shape, dtype=x.dtype)
         w_rows = self.w.reshape(len(self.w), -1)
-        for lo in range(0, x.shape[0], self.chunk):
-            xc = x[lo:lo + self.chunk]
-            y = out[lo:lo + len(xc)].reshape(len(xc), len(self.w), -1)
-            np.matmul(w_rows, self._columns(xc), out=y)
+        out = np.matmul(w_rows, self._columns(x)).reshape((len(x),) + self.out_shape)
         out += self.b[:, None, None]
         return out, x if train else None
 
@@ -197,22 +188,18 @@ class _Conv:
         o, c = self.w.shape[:2]
         _, ho, wo = self.out_shape
         w_rows = self.w.reshape(o, -1)
-        dw = np.zeros_like(w_rows)
-        db = dout.sum(axis=(0, 2, 3))
-        dx = np.zeros_like(x) if need_dx else None
-        for lo in range(0, x.shape[0], self.chunk):
-            xc = x[lo:lo + self.chunk]
-            d = dout[lo:lo + len(xc)].reshape(len(xc), o, -1)
-            dw += np.matmul(d, self._columns(xc).swapaxes(1, 2)).sum(axis=0)
-            if not need_dx:
-                continue
-            # col2im: scatter-add each kernel offset's columns back onto dx.
-            d_cols = (w_rows.T @ d).reshape(len(xc), c, self.kh, self.kw, ho, wo)
-            dxc = dx[lo:lo + len(xc)]
-            for a in range(self.kh):
-                for b in range(self.kw):
-                    dxc[:, :, a:a + s * ho:s, b:b + s * wo:s] += d_cols[:, :, a, b]
-        return dx, [dw.reshape(self.w.shape), db]
+        d = dout.reshape(len(x), o, -1)
+        dw = np.matmul(d, self._columns(x).swapaxes(1, 2)).sum(axis=0)
+        grads = [dw.reshape(self.w.shape), dout.sum(axis=(0, 2, 3))]
+        if not need_dx:
+            return None, grads
+        # col2im: scatter-add each kernel offset's columns back onto dx.
+        d_cols = (w_rows.T @ d).reshape(len(x), c, self.kh, self.kw, ho, wo)
+        dx = np.zeros_like(x)
+        for a in range(self.kh):
+            for b in range(self.kw):
+                dx[:, :, a:a + s * ho:s, b:b + s * wo:s] += d_cols[:, :, a, b]
+        return dx, grads
 
 
 class _Pool:
@@ -379,8 +366,8 @@ class Network:
 
     def forward_batch(self, x: np.ndarray, train: bool = False, rng=None):
         """Returns (probs (B, n_classes), logits, caches); caches is None in
-        inference mode.  Training runs the whole batch at once; inference
-        runs row chunks whose largest activation fits in INFER_BUFFER_BYTES."""
+        inference mode.  Both modes run row chunks whose largest activation
+        fits in ROW_BUFFER_BYTES; training keeps each chunk's caches."""
         x = np.asarray(x)
         if x.ndim == 3:
             x = x[:, None, :, :]
@@ -389,36 +376,40 @@ class Network:
                 f"input shape {x.shape[2:]} does not match spec {self.spec.input_shape}")
         if train and rng is None:
             raise ConfigurationError("train-mode forward needs an rng for dropout")
-        rows = max(1, len(x) if train else INFER_BUFFER_BYTES // self._row_bytes)
+        rows = max(1, ROW_BUFFER_BYTES // self._row_bytes)
         logits = np.empty((len(x), self.spec.n_classes), dtype=self.dtype)
         caches = [] if train else None
         for lo in range(0, len(x), rows):
             h = x[lo:lo + rows].astype(self.dtype, copy=False)
+            chunk = []
             for layer in self.layers + [self.head]:
                 h, cache = layer.forward(h, train, rng)
-                if train:
-                    caches.append(cache)
+                chunk.append(cache)
+            if train:
+                caches.append((slice(lo, lo + rows), chunk))
             logits[lo:lo + rows] = h
         return softmax_batch(logits), logits, caches
 
     def backward_batch(self, caches, probs, targets) -> list[np.ndarray]:
-        """Gradients of mean cross-entropy over the batch, aligned with parameters()."""
+        """Gradients of mean cross-entropy over the batch, aligned with
+        parameters(): each row chunk's gradients, summed over the chunks."""
         seed = (probs - targets) / probs.shape[0]
         # Layers below the first one with parameters need no gradient, and
         # that layer needs no input gradient.
         first = next((i for i, l in enumerate(self.layers) if l.params()),
                      len(self.layers))
-        dx, head_grads = self.head.backward(seed, caches[-1],
-                                            need_dx=first < len(self.layers))
-        grads = list(head_grads)
-        for i in range(len(self.layers) - 1, first - 1, -1):
-            layer, cache = self.layers[i], caches[i]
-            if i == first:
-                dx, layer_grads = layer.backward(dx, cache, need_dx=False)
-            else:
-                dx, layer_grads = layer.backward(dx, cache)
-            grads = list(layer_grads) + grads
-        return grads
+        total = None
+        for rows, chunk in caches:
+            dx, grads = self.head.backward(seed[rows], chunk[-1],
+                                           need_dx=first < len(self.layers))
+            for i in range(len(self.layers) - 1, first - 1, -1):
+                if i == first:
+                    dx, layer_grads = self.layers[i].backward(dx, chunk[i], need_dx=False)
+                else:
+                    dx, layer_grads = self.layers[i].backward(dx, chunk[i])
+                grads = list(layer_grads) + grads
+            total = grads if total is None else [t + g for t, g in zip(total, grads)]
+        return total
 
     def clone(self) -> "Network":
         return copy.deepcopy(self)

@@ -124,7 +124,8 @@ class CalibrationTable:
     @staticmethod
     def from_json(text, source: str = "calibration table") -> "CalibrationTable":
         """Parse ``to_json`` output; anything else raises ConfigurationError
-        naming ``source``, and non-finite values raise NumericError."""
+        naming ``source``, as do rows out of the order ``apply_error_budget``
+        relies on, and non-finite values raise NumericError."""
         keys = ("thresholds", "alpha_hat", "beta_hat")
         try:
             d = json.loads(text)
@@ -139,6 +140,10 @@ class CalibrationTable:
                                      f"{', '.join(str(a.shape) for a in arrays)}")
         if not all(np.isfinite(a).all() for a in arrays):
             raise NumericError(f"{source}: {', '.join(keys)} are not all finite")
+        d_thr, d_alpha, d_beta = (np.diff(a) for a in arrays)
+        if not ((d_thr > 0).all() and (d_alpha <= 0).all() and (d_beta >= 0).all()):
+            raise ConfigurationError(f"{source}: thresholds must strictly ascend, with "
+                                     "alpha_hat never rising and beta_hat never falling")
         return CalibrationTable(*arrays)
 
 

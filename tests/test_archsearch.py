@@ -5,7 +5,7 @@ from fiberwatch.archsearch import (DEConfig, SearchSpace, architecture_fitness,
                                    decode_genome, de_optimize, fitness_eval)
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
-from fiberwatch.training import TrainConfig
+from fiberwatch.training import TrainConfig, train_member
 
 
 def encode_spec(spec: NetworkSpec, cfg: TrainConfig, space: SearchSpace) -> np.ndarray:
@@ -161,6 +161,14 @@ class TestFitness:
         cfg = TrainConfig(epochs=30, lr=0.1, momentum=0.9, seed=0)
         acc = fitness_eval(spec, cfg, (x, y), (x, y), seed=0)
         assert acc > 0.9
+
+    def test_fitness_is_the_best_epoch_accuracy(self, rng):
+        x, y = toy_sets(rng)
+        spec = NetworkSpec((4, 6), (DenseSpec(8), ReluSpec()))
+        cfg = TrainConfig(epochs=6, lr=0.05, momentum=0.9, seed=3)
+        _, history = train_member(Network(spec, seed=3), (x, y), (x, y), cfg)
+        best = max(r.test_accuracy for r in history.records)
+        assert fitness_eval(spec, cfg, (x, y), (x, y), seed=3) == best
 
     def test_wider_net_beats_one_unit_bottleneck(self, rng):
         x, y = toy_sets(rng)

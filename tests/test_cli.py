@@ -16,7 +16,9 @@ from fiberwatch.cli import (EXIT_CONFIG, EXIT_IO, EXIT_MISSING, EXIT_NUMERIC,
 from fiberwatch.ensemble import EnsembleModel, save_ensemble
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.features import NormalizerStats
+from fiberwatch.siggen import GroundTruthEvent
 from fiberwatch.tensornet import Network, reference_member_specs
+from fiberwatch.tracker import SignalEventTrack, calibrate_budget
 from fiberwatch.training import one_hot
 
 from test_tensornet import rewrite_header, with_layer
@@ -574,6 +576,23 @@ class TestTrackMalformedCalibration:
         assert self.track(tmp_path, rng, json.dumps({**self.TABLE, **change})) \
             == EXIT_CONFIG
         assert one_config_error_line(capsys, "must be non-empty lists of one length")
+
+    # apply_error_budget takes the first row within alpha: the reversed
+    # table would pick 0.8, not 0.5, and drop tracks without a word.
+    @pytest.mark.parametrize("change", [
+        {k: v[::-1] for k, v in TABLE.items()}, {"thresholds": [0.0, 0.5, 0.5]},
+        {"alpha_hat": [0.6, 0.3, 0.4]}, {"beta_hat": [0.0, 0.2, 0.1]}],
+        ids=["reversed", "repeated-threshold", "alpha_hat-rises", "beta_hat-falls"])
+    def test_rows_out_of_order_exit_2(self, tmp_path, capsys, rng, change):
+        assert self.track(tmp_path, rng, json.dumps({**self.TABLE, **change})) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, "calibration.json: thresholds must strictly")
+
+    def test_calibrate_budget_table_is_applied(self, tmp_path, rng):
+        tracks = [SignalEventTrack(c, 10 * c, 10 * c + 5, 0, 1, 0, conf, 12)
+                  for c, conf in ((1, 0.9), (2, 0.6), (3, 0.6), (4, 0.3))]
+        table = calibrate_budget(tracks, [GroundTruthEvent(1, 10, 15, 0, 1)])
+        assert self.track(tmp_path, rng, table.to_json()) == 0
 
     @pytest.mark.parametrize("change", [
         {"thresholds": [float("nan")] * 3}, {"alpha_hat": [0.6, float("inf"), 0.0]},

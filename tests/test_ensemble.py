@@ -137,7 +137,7 @@ class TestFuseL2:
         blobs = rng.normal(size=(6, 4, 4))
         probs = np.stack([net.forward_batch(blobs)[0] for net in model.members])
         # Row chunks of 2: the members' forward passes chunk the blobs.
-        monkeypatch.setattr(tensornet, "INFER_BUFFER_BYTES",
+        monkeypatch.setattr(tensornet, "ROW_BUFFER_BYTES",
                             2 * model.members[0]._row_bytes)
         for rule in ("l2", "max_confidence"):
             chunked = predict_fused(model, blobs, rule)

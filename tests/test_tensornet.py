@@ -6,7 +6,7 @@ import pytest
 
 from fiberwatch import tensornet
 from fiberwatch.errors import ConfigurationError, NonFiniteGradientError, NumericError
-from fiberwatch.tensornet import (COLUMN_BUFFER_BYTES, ConvSpec, DenseSpec,
+from fiberwatch.tensornet import (ConvSpec, DenseSpec,
                                   DropoutSpec, Network, NetworkSpec, PoolSpec,
                                   ReluSpec, _Conv, _Dropout, _Pool, _Relu,
                                   load_checkpoint, reference_member_specs,
@@ -155,21 +155,18 @@ class TestConvAgainstEinsumOracle:
         rng = np.random.default_rng([channels, stride, *kernel])
         layer = drawn_conv(ConvSpec(kernel, 6, stride), (channels, 11, 17), rng, dtype)
         layer.b[...] = rng.normal(size=layer.b.shape)
-        batch = 7
-        for chunk in (layer.chunk, 3):   # one chunk, and chunks of 3, 3, 1
-            layer.chunk = chunk
-            x = rng.normal(size=(batch, channels, 11, 17)).astype(dtype)
-            dout = rng.normal(size=(batch,) + layer.out_shape).astype(dtype)
-            out, cache = layer.forward(x, True, None)
-            dx, (dw, db) = layer.backward(dout, cache)
-            x64, w64, b64, d64 = (a.astype(np.float64) for a in (x, layer.w, layer.b, dout))
-            want_out = einsum_conv_forward(x64, w64, b64, stride)
-            want_dx, want_dw, want_db = einsum_conv_backward(d64, x64, w64, stride)
-            tol = self.TOL[dtype]
-            for got, want in ((out, want_out), (dx, want_dx), (dw, want_dw), (db, want_db)):
-                assert got.dtype == dtype
-                assert got.shape == want.shape
-                assert rel_err(got.astype(np.float64), want) <= tol
+        x = rng.normal(size=(7, channels, 11, 17)).astype(dtype)
+        dout = rng.normal(size=(7,) + layer.out_shape).astype(dtype)
+        out, cache = layer.forward(x, True, None)
+        dx, (dw, db) = layer.backward(dout, cache)
+        x64, w64, b64, d64 = (a.astype(np.float64) for a in (x, layer.w, layer.b, dout))
+        want_out = einsum_conv_forward(x64, w64, b64, stride)
+        want_dx, want_dw, want_db = einsum_conv_backward(d64, x64, w64, stride)
+        tol = self.TOL[dtype]
+        for got, want in ((out, want_out), (dx, want_dx), (dw, want_dw), (db, want_db)):
+            assert got.dtype == dtype
+            assert got.shape == want.shape
+            assert rel_err(got.astype(np.float64), want) <= tol
 
     def test_first_layer_input_gradient_skipped(self, rng):
         layer = drawn_conv(ConvSpec((3, 3), 4), (2, 8, 12), rng, np.float64)
@@ -180,16 +177,6 @@ class TestConvAgainstEinsumOracle:
         dx, grads = layer.backward(dout, cache, need_dx=False)
         assert dx is None
         assert all(np.array_equal(a, b) for a, b in zip(grads, full))
-
-    @pytest.mark.parametrize("spec", reference_member_specs())
-    def test_column_buffer_stays_bounded(self, spec):
-        net = Network(spec, seed=0)
-        for layer in net.layers:
-            if isinstance(layer, _Conv):
-                _, ho, wo = layer.out_shape
-                row_bytes = ho * wo * layer.w[0].size * layer.w.itemsize
-                assert layer.chunk >= 1
-                assert layer.chunk * row_bytes <= max(COLUMN_BUFFER_BYTES, row_bytes)
 
 
 def spec_order_layers(net):
@@ -315,7 +302,7 @@ class TestInferenceForward:
         head_forward = net.head.forward
         monkeypatch.setattr(net.head, "forward",
                             lambda h, *a: chunks.append(len(h)) or head_forward(h, *a))
-        monkeypatch.setattr(tensornet, "INFER_BUFFER_BYTES", rows * net._row_bytes)
+        monkeypatch.setattr(tensornet, "ROW_BUFFER_BYTES", rows * net._row_bytes)
         for batch in (rows - 1, rows, rows + 1, 7):
             chunks.clear()
             got = net.forward_batch(x[:batch])[0]
@@ -323,6 +310,31 @@ class TestInferenceForward:
             assert got.dtype == dtype
             assert np.allclose(got, whole[:batch], rtol=0,
                                atol=1e-15 if dtype == np.float64 else 1e-7)
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_train_row_chunks_agree_with_one_chunk(self, rng, monkeypatch, spec, rows):
+        """Chunked training gives one chunk's probs and gradients up to the
+        rounding of the chunk sums, and draws the same dropout masks."""
+        net = with_random_biases(Network(spec, seed=6), rng)
+        x = rng.normal(size=(7,) + spec.input_shape)
+        targets = np.eye(7)[rng.integers(7, size=len(x))]
+
+        def train_step(chunk_rows):
+            monkeypatch.setattr(tensornet, "ROW_BUFFER_BYTES", chunk_rows * net._row_bytes)
+            step_rng = np.random.default_rng(11)
+            probs, _, caches = net.forward_batch(x, train=True, rng=step_rng)
+            assert len(caches) == -(-len(x) // chunk_rows)
+            grads = net.backward_batch(caches, probs, targets)
+            return probs, grads, step_rng.bit_generator.state
+
+        whole_probs, whole_grads, whole_state = train_step(len(x))
+        probs, grads, state = train_step(rows)
+        assert np.allclose(probs, whole_probs, rtol=0, atol=1e-15)
+        assert len(grads) == len(whole_grads) == len(net.parameters())
+        for got, want in zip(grads, whole_grads):
+            assert rel_err(got, want) <= 1e-12
+        assert state == whole_state
 
     def test_input_left_untouched(self, rng):
         net = Network(small_spec(ReluSpec(), PoolSpec((2, 2)), DenseSpec(4)), seed=0)
@@ -340,11 +352,7 @@ class TestInferenceForward:
             assert p.dtype == np.float32
             assert np.array_equal(p, q.astype(np.float32))
             assert not np.shares_memory(p, q)
-        convs = [(a, b) for a, b in zip(copy32.layers, net.layers) if isinstance(a, _Conv)]
-        for a, b in convs:
-            _, ho, wo = a.out_shape
-            assert a.chunk == COLUMN_BUFFER_BYTES // (ho * wo * a.w[0].size * 4)
-            assert a.chunk > b.chunk
+        assert 2 * copy32._row_bytes == net._row_bytes
         x = rng.normal(size=(5,) + spec.input_shape)
         probs = copy32.forward_batch(x)[0]
         assert probs.dtype == np.float32
