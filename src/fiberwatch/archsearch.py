@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import at_least
 from .errors import ConfigurationError, DivergenceError
 from .tensornet import (ConvSpec, DenseSpec, DropoutSpec, Network, NetworkSpec,
                         PoolSpec, ReluSpec)
@@ -91,28 +92,31 @@ def decode_genome(genome: np.ndarray, space: SearchSpace):
     if drop > 0:
         layers.append(DropoutSpec(round(drop, 6)))
     spec = NetworkSpec(space.input_shape, tuple(layers))
-    cfg = TrainConfig(epochs=10, lr=float(10.0 ** g[dense_idx + 2]),
+    cfg = TrainConfig(lr=float(10.0 ** g[dense_idx + 2]),
                       weight_decay=float(10.0 ** g[dense_idx + 3]))
     return spec, cfg
 
 
 @dataclass(frozen=True)
 class DEConfig:
-    population: int = 40
+    """The ``search`` section: the evolution's settings, and the training
+    budget and data cap of each fitness evaluation."""
+    population: int = 8          # at least 4 for rand/1 mutation
     weight: float = 0.5          # differential weight F
     crossover: float = 0.9       # crossover rate CR
-    generations: int = 100
-    seed: int = 0
+    generations: int = 5
+    epochs: int = 4
+    max_frames_per_class: int = 60
 
     def __post_init__(self):
-        if self.population < 4:
-            raise ConfigurationError("population must be >= 4 for rand/1 mutation")
+        at_least(self, population=4, generations=1, epochs=1, max_frames_per_class=1)
         # weight 0 is allowed: it degenerates to crossover-only search, which
         # is still well-defined under greedy selection.
         if not 0.0 <= self.weight <= 2.0:
-            raise ConfigurationError("differential weight must lie in [0, 2]")
+            raise ConfigurationError(f"weight must lie in [0, 2], got {self.weight}")
         if not 0.0 <= self.crossover <= 1.0:
-            raise ConfigurationError("crossover rate must lie in [0, 1]")
+            raise ConfigurationError(
+                f"crossover must lie in [0, 1], got {self.crossover}")
 
 
 @dataclass
@@ -122,7 +126,8 @@ class GenerationTrace:
     best_genome: list[float]
 
 
-def de_optimize(bounds: np.ndarray, fitness, cfg: DEConfig, on_generation=None):
+def de_optimize(bounds: np.ndarray, fitness, cfg: DEConfig, seed: int,
+                on_generation=None):
     """Minimize ``fitness`` over box bounds; returns (best, value, trace).
 
     ``on_generation(gen, population, values)`` is invoked after each
@@ -130,7 +135,7 @@ def de_optimize(bounds: np.ndarray, fitness, cfg: DEConfig, on_generation=None):
     """
     bounds = np.asarray(bounds, dtype=np.float64)
     dim = bounds.shape[0]
-    rng = np.random.default_rng([cfg.seed, 0xDE])
+    rng = np.random.default_rng([seed, 0xDE])
     lo, hi = bounds[:, 0], bounds[:, 1]
     pop = rng.uniform(lo, hi, (cfg.population, dim))
     values = np.array([fitness(ind) for ind in pop], dtype=np.float64)
@@ -157,23 +162,22 @@ def de_optimize(bounds: np.ndarray, fitness, cfg: DEConfig, on_generation=None):
 
 
 def fitness_eval(spec: NetworkSpec, cfg: TrainConfig, train_set, test_set,
-                 seed: int = 0) -> float:
+                 seed: int) -> float:
     """Validation accuracy after a short training budget; divergence scores 0."""
     net = Network(spec, seed=seed)
     try:
-        _, history = train_member(net, train_set, test_set, cfg)
+        _, history = train_member(net, train_set, test_set, cfg, seed)
     except DivergenceError:
         return 0.0
     return history.records[history.best_epoch()].test_accuracy
 
 
-def architecture_fitness(space: SearchSpace, train_set, test_set,
-                         epochs: int = 10, seed: int = 0):
-    """Fitness closure for de_optimize: negative short-budget accuracy."""
+def architecture_fitness(space: SearchSpace, train_set, test_set, epochs: int,
+                         seed: int):
+    """Fitness closure for de_optimize: negative accuracy after ``epochs``."""
     def fn(genome: np.ndarray) -> float:
         spec, cfg = decode_genome(genome, space)
-        cfg = replace(cfg, epochs=epochs, seed=seed)
-        return -fitness_eval(spec, cfg, train_set, test_set, seed=seed)
+        return -fitness_eval(spec, replace(cfg, epochs=epochs), train_set, test_set, seed)
     return fn
 
 

@@ -2,9 +2,10 @@
 
 Commands: gen, train, eval, infer, analyze, search, track.  Every
 run validates its configuration document against a schema (unknown keys
-rejected), copies the effective configuration into the output directory,
-and never mutates its inputs.  Exit codes: 1 other input/output error,
-2 invalid configuration, 3 missing files, 4 numeric failure.
+rejected), builds each section's dataclass, which checks its ranges,
+copies the effective configuration into the output directory, and never
+mutates its inputs.  Exit codes: 1 other input/output error, 2 invalid
+configuration, 3 missing files, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -28,22 +30,17 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
+# Each configuration section and the dataclass that holds its keys, their
+# defaults and their ranges; `features.Pipeline` holds "framing" and "features".
+SECTIONS = {"dataset": siggen.DatasetConfig, "training": training.TrainConfig,
+            "ensemble": ensemble.EnsembleConfig, "embedding": embedding.EmbeddingConfig,
+            "search": archsearch.DEConfig, "tracker": tracker.TrackerConfig}
+
 DEFAULTS = {
     "seed": 0,
     "out": "run",
-    "dataset": {"frames_per_class": 100, "scenarios_per_class": 8,
-                "channels": 4, "split_ratio": 7},
-    **features.Pipeline().to_dict(),          # the "framing" and "features" sections
-    "training": {"epochs": 200, "batch_size": 64, "lr": 0.05, "momentum": 0.9,
-                 "weight_decay": 1e-4, "early_stop_acc": None,
-                 "relabel": False, "relabel_confidence": 0.95},
-    "ensemble": {"threshold": 0.5, "fusion": "l2"},
-    "embedding": {"pca_components": 64, "dims": 3, "perplexity": 30.0,
-                  "iterations": 1000, "learning_rate": 100.0, "max_points": 5000},
-    "search": {"population": 8, "generations": 5, "weight": 0.5, "crossover": 0.9,
-               "epochs": 4, "max_frames_per_class": 60},
-    "tracker": {"gap": 2, "width": 2, "min_duration": 3, "min_area": 6,
-                "alpha": 0.5, "beta": 0.5},
+    **features.Pipeline().to_dict(),
+    **{name: asdict(section()) for name, section in SECTIONS.items()},
     # Read by no command.  `gen` snapshots the whole configuration into each
     # dataset, and perfbench's recorded reference fingerprints hash those
     # files; drop these three keys when that reference is next recorded.
@@ -81,6 +78,34 @@ def load_config(path: str | None) -> dict:
     return merged_config(doc)
 
 
+@dataclass(frozen=True)
+class Settings:
+    """A merged configuration as typed, range-checked sections."""
+    seed: int
+    pipeline: features.Pipeline
+    dataset: siggen.DatasetConfig
+    training: training.TrainConfig
+    ensemble: ensemble.EnsembleConfig
+    embedding: embedding.EmbeddingConfig
+    search: archsearch.DEConfig
+    tracker: tracker.TrackerConfig
+
+    def __post_init__(self):
+        config.at_least(self, seed=0)
+
+    @classmethod
+    def from_dict(cls, cfg: dict) -> "Settings":
+        """The sections of a validated, merged configuration; a range error
+        names its section and key."""
+        sections = {}
+        for name, section in SECTIONS.items():
+            try:
+                sections[name] = section(**cfg[name])
+            except ConfigurationError as err:
+                raise ConfigurationError(f"{name}.{err}") from err
+        return cls(cfg["seed"], features.Pipeline.from_dict(cfg), **sections)
+
+
 def _snapshot(cfg: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     # The output location is where the snapshot lives, not run content;
@@ -104,12 +129,8 @@ def _load_model(pipeline: features.Pipeline, path) -> ensemble.EnsembleModel:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_gen(cfg: dict, pipeline: features.Pipeline, out: Path) -> int:
-    d = cfg["dataset"]
-    manifest = siggen.generate_dataset(
-        frames_per_class=d["frames_per_class"], seed=cfg["seed"],
-        scenarios_per_class=d["scenarios_per_class"], channels=d["channels"],
-        split_ratio=d["split_ratio"], cfg=pipeline.framing)
+def cmd_gen(cfg: Settings, out: Path) -> int:
+    manifest = siggen.generate_dataset(cfg.dataset, cfg.seed, cfg.pipeline.framing)
     siggen.save_dataset(manifest, out)
     counts = manifest.class_counts()
     print(f"dataset: {len(manifest.entries)} frames, "
@@ -123,19 +144,16 @@ def _load_sets(data_dir, pipeline: features.Pipeline):
     return training.standardized_sets(blobs, labels, splits, pipeline.features.clip)
 
 
-def cmd_train(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
-    t = cfg["training"]
-    tc = training.TrainConfig(seed=cfg["seed"], **{k: t[k] for k in (
-        "epochs", "batch_size", "lr", "momentum", "weight_decay", "early_stop_acc")})
-    train_set, test_set, stats = _load_sets(data_dir, pipeline)
+def cmd_train(cfg: Settings, out: Path, data_dir: str) -> int:
+    train_set, test_set, stats = _load_sets(data_dir, cfg.pipeline)
     model, histories, changes = training.train_ensemble(
-        train_set, test_set, stats, pipeline, tc, cfg["ensemble"]["threshold"],
-        t["relabel_confidence"] if t["relabel"] else None)
+        train_set, test_set, stats, cfg.pipeline, cfg.training, cfg.ensemble.threshold,
+        cfg.seed)
     for j, history in enumerate(histories):
         acc = history.records[history.best_epoch()].test_accuracy
         print(f"member C{j + 1}: best test accuracy {acc:.4f} "
               f"after {len(history.records)} epochs")
-    if t["relabel"]:
+    if cfg.training.relabel:
         training.write_relabel_report(changes, out / "relabel.jsonl")
         print(f"relabeling: {len(changes)} labels corrected")
 
@@ -171,10 +189,11 @@ def _stored_predictions(path, n_test: int) -> np.ndarray:
     return fused
 
 
-def cmd_eval(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str,
-             model_path: str | None, predictions_path: str | None) -> int:
+def cmd_eval(cfg: Settings, out: Path, data_dir: str, model_path: str | None,
+             predictions_path: str | None) -> int:
     if predictions_path is None and model_path is None:
         raise ConfigurationError("eval needs --model or --predictions")
+    pipeline = cfg.pipeline
     model = _load_model(pipeline, model_path) if predictions_path is None else None
     labels, splits = training.dataset_labels(data_dir, pipeline)
     test = splits == "test"
@@ -187,7 +206,7 @@ def cmd_eval(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str,
     else:
         blobs, _, _ = training.load_dataset_features(data_dir, pipeline, test)
         x = features.standardize(blobs, model.normalizer, pipeline.features.clip)
-        fused = ensemble.predict_fused(model, x, cfg["ensemble"]["fusion"])
+        fused = ensemble.predict_fused(model, x, cfg.ensemble.fusion)
 
     cm = metrics.confusion(np.argmax(fused, axis=1), y)
     report = metrics.precision_f1(cm)
@@ -198,43 +217,40 @@ def cmd_eval(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str,
     return 0
 
 
-def cmd_infer(cfg: dict, pipeline: features.Pipeline, out: Path, stream_path: str,
-              channels: int, model_path: str) -> int:
-    model = _load_model(pipeline, model_path)
+def cmd_infer(cfg: Settings, out: Path, stream_path: str, channels: int,
+              model_path: str) -> int:
+    model = _load_model(cfg.pipeline, model_path)
     # Float32 copies of the members score within 1e-6 of the float64 ones,
     # and faster; training and eval stay in float64.
     model.members = [net.astype(np.float32) for net in model.members]
     stream = siggen.load_stream(stream_path, channels)
-    grid = training.stream_scores(stream, model, cfg["ensemble"]["fusion"])
+    grid = training.stream_scores(stream, model, cfg.ensemble.fusion)
     if not np.isfinite(grid).all():
         raise NumericError("the model scored the stream with non-finite values")
-    dmap = tracker.build_decision_map(grid, cfg["ensemble"]["threshold"])
+    dmap = tracker.build_decision_map(grid, cfg.ensemble.threshold)
     np.savez(out / "scores.npz", fused=grid, decisions=dmap.decisions)
     print(f"scores: {grid.shape[0]} frames x {channels} channels -> {out / 'scores.npz'}")
     return 0
 
 
-def cmd_analyze(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
-    blobs, labels, splits = training.load_dataset_features(data_dir, pipeline)
-    e = cfg["embedding"]
+def cmd_analyze(cfg: Settings, out: Path, data_dir: str) -> int:
+    blobs, labels, splits = training.load_dataset_features(data_dir, cfg.pipeline)
+    e = cfg.embedding
     flat = blobs.reshape(blobs.shape[0], -1)
-    rng = np.random.default_rng([cfg["seed"], 0xA11A])
-    if flat.shape[0] > e["max_points"]:
-        keep = np.sort(rng.choice(flat.shape[0], e["max_points"], replace=False))
+    rng = np.random.default_rng([cfg.seed, 0xA11A])
+    if flat.shape[0] > e.max_points:
+        keep = np.sort(rng.choice(flat.shape[0], e.max_points, replace=False))
         flat, labels = flat[keep], labels[keep]
-    n_comp = min(e["pca_components"], flat.shape[1], flat.shape[0])
+    n_comp = min(e.pca_components, flat.shape[1], flat.shape[0])
     pca_res = embedding.pca(flat, n_comp)
-    emb_cfg = embedding.EmbeddingConfig(
-        dims=e["dims"], perplexity=e["perplexity"], iterations=e["iterations"],
-        learning_rate=e["learning_rate"], seed=cfg["seed"])
-    emb = embedding.tsne(pca_res.projection, emb_cfg)
+    emb = embedding.tsne(pca_res.projection, e, cfg.seed)
     centers = embedding.median_centers(emb, labels)
     dmat = embedding.center_distances(centers)
     tree = embedding.mst(dmat)
 
     with open(out / "embedding.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["point", "class_id"] + [f"y{k}" for k in range(e["dims"])])
+        writer.writerow(["point", "class_id"] + [f"y{k}" for k in range(e.dims)])
         for i in range(emb.shape[0]):
             writer.writerow([i, int(labels[i])] + [f"{v:.6f}" for v in emb[i]])
     (out / "centers.json").write_text(json.dumps(
@@ -249,10 +265,10 @@ def cmd_analyze(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str
     return 0
 
 
-def cmd_search(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str) -> int:
-    train_set, test_set, _ = _load_sets(data_dir, pipeline)
-    s = cfg["search"]
-    cap = s["max_frames_per_class"]
+def cmd_search(cfg: Settings, out: Path, data_dir: str) -> int:
+    train_set, test_set, _ = _load_sets(data_dir, cfg.pipeline)
+    s = cfg.search
+    cap = s.max_frames_per_class
     x_tr, y_tr = train_set
 
     def cap_per_class(x, y):
@@ -262,13 +278,11 @@ def cmd_search(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str)
 
     train_small = cap_per_class(x_tr, y_tr)
     test_small = cap_per_class(*test_set)
-    ft = pipeline.features
+    ft = cfg.pipeline.features
     space = archsearch.SearchSpace(input_shape=(ft.subwindows, ft.feature_dim))
-    fitness = archsearch.architecture_fitness(space, train_small, test_small,
-                                              epochs=s["epochs"], seed=cfg["seed"])
-    de_cfg = archsearch.DEConfig(s["population"], s["weight"], s["crossover"],
-                                 s["generations"], cfg["seed"])
-    best, value, trace = archsearch.de_optimize(space.bounds(), fitness, de_cfg)
+    fitness = archsearch.architecture_fitness(space, train_small, test_small, s.epochs,
+                                              cfg.seed)
+    best, value, trace = archsearch.de_optimize(space.bounds(), fitness, s, cfg.seed)
     archsearch.write_trace(trace, out / "trace.jsonl")
     spec, train_cfg = archsearch.decode_genome(best, space)
     (out / "best_spec.json").write_text(json.dumps(
@@ -279,7 +293,7 @@ def cmd_search(cfg: dict, pipeline: features.Pipeline, out: Path, data_dir: str)
     return 0
 
 
-def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: str,
+def cmd_track(cfg: Settings, out: Path, scores_path: str,
               calibration_path: str | None) -> int:
     with open(scores_path, "rb") as fh:
         try:
@@ -300,18 +314,15 @@ def cmd_track(cfg: dict, pipeline: features.Pipeline, out: Path, scores_path: st
             raise NumericError(f"{scores_path}: fused scores are not all finite")
         raise ConfigurationError(f"{scores_path}: fused scores lie in "
                                  f"[{fused.min():.6g}, {fused.max():.6g}], outside [0, 1]")
-    dmap = tracker.build_decision_map(fused, cfg["ensemble"]["threshold"])
-    t = cfg["tracker"]
-    tracks = tracker.glue_tracks(dmap, t["gap"], t["width"], t["min_duration"],
-                                 t["min_area"])
+    dmap = tracker.build_decision_map(fused, cfg.ensemble.threshold)
+    tracks = tracker.glue_tracks(dmap, cfg.tracker)
     if calibration_path is not None:
         table = tracker.CalibrationTable.from_json(Path(calibration_path).read_bytes(),
                                                    calibration_path)
-        budget = tracker.ErrorBudget(t["alpha"], t["beta"])
-        reports = tracker.apply_error_budget(tracks, budget, table)
+        reports = tracker.apply_error_budget(tracks, cfg.tracker, table)
     else:
         reports = [tracker.EventReport(tr, True) for tr in tracks]
-    tracker.write_event_reports(reports, out / "events.jsonl", pipeline.framing)
+    tracker.write_event_reports(reports, out / "events.jsonl", cfg.pipeline.framing)
     admitted = sum(1 for r in reports if r.admitted)
     print(f"tracks: {len(tracks)} glued, {admitted} admitted -> {out / 'events.jsonl'}")
     return 0
@@ -357,10 +368,10 @@ def run(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out"] = args.out
+        settings = Settings.from_dict(cfg)
         out = Path(cfg["out"])
         _snapshot(cfg, out)
-        pipeline = features.Pipeline.from_dict(cfg)
-        common = (cfg, pipeline, out)
+        common = (settings, out)
         return {
             "gen": lambda: cmd_gen(*common),
             "train": lambda: cmd_train(*common, args.data),

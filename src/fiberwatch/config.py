@@ -1,4 +1,7 @@
-"""Type checks for configuration documents, read off their defaults."""
+"""Type checks for configuration documents, read off their defaults, and the
+range check the section dataclasses share."""
+
+import math
 
 from .errors import ConfigurationError
 
@@ -20,8 +23,8 @@ def schema_of(defaults: dict) -> dict:
 
 
 def validate_config(doc: dict, schema: dict, path: str = "") -> None:
-    """Reject keys ``schema`` does not name and values of other types; a bool
-    is accepted only where the schema names bool."""
+    """Reject keys ``schema`` does not name, values of other types and
+    non-finite numbers; a bool is accepted only where the schema names bool."""
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path or 'config'}: expected an object")
     for key, value in doc.items():
@@ -37,3 +40,15 @@ def validate_config(doc: dict, schema: dict, path: str = "") -> None:
             if not isinstance(value, kinds):
                 raise ConfigurationError(
                     f"{path}{key}: expected {kinds}, got {type(value).__name__}")
+            # Python's json reads NaN and Infinity, which JSON itself lacks.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{path}{key} must be finite, got {value}")
+
+
+def at_least(section, **least) -> None:
+    """Reject the first field of the dataclass ``section`` named in ``least``
+    that is below its least value."""
+    for key, low in least.items():
+        value = getattr(section, key)
+        if not value >= low:
+            raise ConfigurationError(f"{key} must be >= {low}, got {value}")

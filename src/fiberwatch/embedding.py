@@ -12,31 +12,37 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import CLASS_COUNT
+from .config import at_least
 from .errors import ConfigurationError, NumericError
 
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
+    """The ``embedding`` section; the optimizer's schedule is fixed."""
+    pca_components: int = 64      # PCA dimensions t-SNE starts from
     dims: int = 3
     perplexity: float = 30.0
     iterations: int = 1000
-    exaggeration: float = 4.0
-    exaggeration_iters: int = 100
     learning_rate: float = 100.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    seed: int = 0
+    max_points: int = 5000        # larger sets are subsampled to this many
+
+    exaggeration: ClassVar[float] = 4.0
+    exaggeration_iters: ClassVar[int] = 100
+    momentum_early: ClassVar[float] = 0.5
+    momentum_late: ClassVar[float] = 0.8
+    momentum_switch: ClassVar[int] = 250
 
     def __post_init__(self):
+        at_least(self, pca_components=1, iterations=1, max_points=1)
         if self.dims not in (2, 3):
-            raise ConfigurationError("embedding dims must be 2 or 3")
-        if self.perplexity <= 1:
-            raise ConfigurationError("perplexity must exceed 1")
+            raise ConfigurationError(f"dims must be 2 or 3, got {self.dims}")
+        if not self.perplexity > 1:
+            raise ConfigurationError(f"perplexity must exceed 1, got {self.perplexity}")
 
 
 @dataclass
@@ -148,8 +154,9 @@ def _tsne_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
-def tsne(points: np.ndarray, cfg: EmbeddingConfig, kl_trace: list | None = None) -> np.ndarray:
-    """Embed points into cfg.dims dimensions; deterministic given cfg.seed.
+def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
+         kl_trace: list | None = None) -> np.ndarray:
+    """Embed points into cfg.dims dimensions; deterministic given ``seed``.
 
     When ``kl_trace`` is a list, the accepted KL value of every
     post-exaggeration step is appended to it.
@@ -158,7 +165,7 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, kl_trace: list | None = None)
     n = x.shape[0]
     if n < 3 * cfg.perplexity:
         raise ConfigurationError("sample count must be at least 3x perplexity")
-    rng = np.random.default_rng([cfg.seed, 0x75E3])
+    rng = np.random.default_rng([seed, 0x75E3])
     dists = _sq_dists(x)
     off_diag = dists + np.diag(np.full(n, np.inf))
     if np.any(off_diag == 0.0):

@@ -20,6 +20,24 @@ from .features import NormalizerStats, Pipeline
 from .tensornet import Network, load_checkpoint, save_checkpoint
 
 
+FUSION_RULES = ("l2", "max_confidence")
+
+
+@dataclass(frozen=True)
+class EnsembleConfig:
+    """The ``ensemble`` section: the decision threshold and the fusion rule."""
+    threshold: float = 0.5
+    fusion: str = "l2"
+
+    def __post_init__(self):
+        if not 0 < self.threshold <= 1:
+            raise ConfigurationError(
+                f"threshold must lie in (0, 1], got {self.threshold}")
+        if self.fusion not in FUSION_RULES:
+            raise ConfigurationError(f"fusion must be one of {FUSION_RULES}, "
+                                     f"got {self.fusion!r}")
+
+
 @dataclass
 class EnsembleModel:
     members: list[Network]                 # exactly C1, C2, C3 in order

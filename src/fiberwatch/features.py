@@ -17,7 +17,7 @@ import numpy as np
 from . import SAMPLE_RATE_HZ, ADC_FULL_SCALE
 from .config import schema_of, validate_config
 from .errors import ConfigurationError
-from .framing import FrameShaperConfig
+from .framing import FrameShaperConfig, check_band
 
 # Log floor: 1e-10 of full-scale power keeps band energies finite on silence.
 POWER_FLOOR = 1e-10 * float(ADC_FULL_SCALE) ** 2
@@ -58,14 +58,21 @@ class Pipeline:
     features: FeatureConfig = FeatureConfig()
 
     def __post_init__(self):
+        # Messages name their section: this one class holds two of them.
         if not 0.0 <= self.adapt_decay <= 1.0:
-            raise ConfigurationError(f"adapt_decay must lie in [0, 1], got {self.adapt_decay}")
-        if not self.features.clip > 0:
-            raise ConfigurationError(f"clip must be positive, got {self.features.clip}")
-        if self.features.subwindows < 1 or self.framing.frame_size % self.features.subwindows:
             raise ConfigurationError(
-                f"frame size {self.framing.frame_size} not divisible by "
-                f"{self.features.subwindows} subwindows")
+                f"framing.adapt_decay must lie in [0, 1], got {self.adapt_decay}")
+        check_band(self.band, "framing.band_lo_hz and band_hi_hz")
+        ft = self.features
+        if not ft.clip > 0:
+            raise ConfigurationError(f"features.clip must be positive, got {ft.clip}")
+        if ft.bank_bands < 1:
+            raise ConfigurationError(
+                f"features.bank_bands must be >= 1, got {ft.bank_bands}")
+        if ft.subwindows < 1 or self.framing.frame_size % ft.subwindows:
+            raise ConfigurationError(
+                f"features.subwindows: frame size {self.framing.frame_size} not "
+                f"divisible by {ft.subwindows} subwindows")
 
     def to_dict(self) -> dict:
         """The ``framing`` and ``features`` sections of a configuration."""
@@ -85,8 +92,11 @@ class Pipeline:
                 raise ConfigurationError(f"pipeline.{section}: expected the keys "
                                          f"{sorted(keys)}")
         fr = doc["framing"]
-        return cls(FrameShaperConfig(fr["frame_size"], fr["overlap_factor"]),
-                   (fr["band_lo_hz"], fr["band_hi_hz"]), fr["adapt_decay"],
+        try:
+            framing = FrameShaperConfig(fr["frame_size"], fr["overlap_factor"])
+        except ConfigurationError as err:
+            raise ConfigurationError(f"framing.{err}") from err
+        return cls(framing, (fr["band_lo_hz"], fr["band_hi_hz"]), fr["adapt_decay"],
                    FeatureConfig(**doc["features"]))
 
 

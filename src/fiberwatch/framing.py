@@ -82,20 +82,28 @@ def _bandpass_sos(f_lo: float, f_hi: float) -> np.ndarray:
     return sos
 
 
+def check_band(band, name: str = "band") -> None:
+    """Reject a band-pass band (lo, hi) Hz unless 0 < lo < hi < NYQUIST_HZ:
+    the digital design needs both edges strictly inside (0, Nyquist)."""
+    if not 0.0 < band[0] < band[1] < NYQUIST_HZ:
+        raise ConfigurationError(
+            f"{name} must satisfy 0 < lo < hi < {NYQUIST_HZ:.0f} Hz, got {band}")
+
+
 def primary_filter(stream: IntensityStream, band=(5.0, 800.0)) -> IntensityStream:
     """Zero-phase band-pass over every channel.
 
     Forward-backward second-order sections keep the output aligned with the
     input, so frame boundaries stay consistent with ground-truth marks.
     """
+    check_band(band)
     f_lo, f_hi = band
-    if not (0.0 <= f_lo < f_hi <= NYQUIST_HZ):
-        raise ConfigurationError(
-            f"band must satisfy 0 <= lo < hi <= {NYQUIST_HZ:.0f} Hz, got {band}"
-        )
     # scipy's compiled filter loop refuses a read-only coefficient array.
     sos = _bandpass_sos(float(f_lo), float(f_hi)).copy()
-    filtered = signal.sosfiltfilt(sos, stream.samples, axis=1)
+    try:
+        filtered = signal.sosfiltfilt(sos, stream.samples, axis=1)
+    except np.linalg.LinAlgError as err:      # an edge so near 0 Hz that a pole sits at z = 1
+        raise ConfigurationError(f"band {band} gives a singular filter ({err})") from err
     return IntensityStream(filtered)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import SAMPLE_RATE_HZ, NYQUIST_HZ, ADC_FULL_SCALE, CLASS_COUNT
+from .config import at_least
 from .errors import ConfigurationError
 from .framing import FrameShaperConfig, IntensityStream, frame_count
 
@@ -252,43 +253,50 @@ def _class_scenario(class_id: int, frames_needed: int, channels: int,
     return spec, cells[:frames_needed]
 
 
-def generate_dataset(frames_per_class: int = 100, seed: int = 0,
-                     scenarios_per_class: int = 8, channels: int = 4,
-                     split_ratio: int = 7,
-                     cfg: FrameShaperConfig | None = None) -> DatasetManifest:
+@dataclass(frozen=True)
+class DatasetConfig:
+    """The ``dataset`` section: how many labeled frames ``generate_dataset``
+    draws, and how they split."""
+    frames_per_class: int = 100
+    scenarios_per_class: int = 8
+    channels: int = 4
+    split_ratio: int = 7          # train:test scenarios
+
+    def __post_init__(self):
+        at_least(self, frames_per_class=1, scenarios_per_class=1, channels=1,
+                 split_ratio=0)
+
+
+def generate_dataset(cfg: DatasetConfig, seed: int,
+                     framing: FrameShaperConfig = FrameShaperConfig()) -> DatasetManifest:
     """Labeled-frame manifest of every class from the default profiles, with
     uniform class shares and a scenario-disjoint split.
 
-    ``split_ratio`` is train:test; test scenarios per class are
-    ``max(1, round(scenarios_per_class / (split_ratio + 1)))``.
+    ``cfg.split_ratio`` is train:test; test scenarios per class are
+    ``max(1, round(cfg.scenarios_per_class / (cfg.split_ratio + 1)))``.
     """
-    for name, value, low in (("frames_per_class", frames_per_class, 1),
-                             ("scenarios_per_class", scenarios_per_class, 1),
-                             ("channels", channels, 1), ("split_ratio", split_ratio, 0)):
-        if value < low:
-            raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-    cfg = cfg or FrameShaperConfig()
     rng = np.random.default_rng([seed, 0xDA7A])
 
     entries: list[ManifestEntry] = []
     scenarios: dict[str, ScenarioSpec] = {}
+    n_sc = cfg.scenarios_per_class
     for class_id in range(CLASS_COUNT):
-        base = frames_per_class // scenarios_per_class
-        counts = [base + (1 if i < frames_per_class % scenarios_per_class else 0)
-                  for i in range(scenarios_per_class)]
-        n_test = max(1, round(scenarios_per_class / (split_ratio + 1)))
-        order = rng.permutation(scenarios_per_class)
+        base = cfg.frames_per_class // n_sc
+        counts = [base + (1 if i < cfg.frames_per_class % n_sc else 0)
+                  for i in range(n_sc)]
+        n_test = max(1, round(n_sc / (cfg.split_ratio + 1)))
+        order = rng.permutation(n_sc)
         test_set = set(order[:n_test].tolist())
         for i, quota in enumerate(counts):
             if quota == 0:
                 continue
             sid = f"c{class_id}_s{i:03d}"
-            spec, cells = _class_scenario(class_id, quota, channels, cfg,
+            spec, cells = _class_scenario(class_id, quota, cfg.channels, framing,
                                           seed=seed * 10007 + class_id * 101 + i)
             scenarios[sid] = spec
             split = "test" if i in test_set else "train"
             entries.extend(ManifestEntry(class_id, split, sid, n, l) for n, l in cells)
-    return DatasetManifest(entries, scenarios, cfg, seed)
+    return DatasetManifest(entries, scenarios, framing, seed)
 
 
 def save_dataset(manifest: DatasetManifest, out_dir) -> Path:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import CLASS_COUNT, SAMPLE_RATE_HZ
+from .config import at_least
 from .ensemble import threshold_decide
 from .errors import ConfigurationError, NumericError
 from .framing import FrameShaperConfig, frame_bounds
@@ -42,13 +43,22 @@ class SignalEventTrack:
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
-    alpha: float                 # allowed false-alarm rate proxy
-    beta: float                  # allowed miss rate proxy
+class TrackerConfig:
+    """The ``tracker`` section: how ``glue_tracks`` merges and drops cells,
+    and the operator's error budget."""
+    gap: int = 2                 # frames bridged between cells of one track
+    width: int = 2               # channels bridged between cells of one track
+    min_duration: int = 3        # frames a kept track spans at least
+    min_area: int = 6            # cells a kept track holds at least
+    alpha: float = 0.5           # allowed false-alarm rate proxy
+    beta: float = 0.5            # allowed miss rate proxy
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
-            raise ConfigurationError("alpha and beta must lie in (0, 1)")
+        at_least(self, gap=0, width=0, min_duration=0, min_area=0)
+        for key in ("alpha", "beta"):
+            if not 0.0 < getattr(self, key) < 1.0:
+                raise ConfigurationError(f"{key} must lie in (0, 1), "
+                                         f"got {getattr(self, key)}")
 
 
 def build_decision_map(fused_scores: np.ndarray, threshold: float) -> DecisionMap:
@@ -60,17 +70,14 @@ def build_decision_map(fused_scores: np.ndarray, threshold: float) -> DecisionMa
     return DecisionMap(threshold_decide(scores, threshold), scores)
 
 
-def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,
-                min_duration: int = 3, min_area: int = 1) -> list[SignalEventTrack]:
-    """Connected same-class regions under (gap, width)-dilated adjacency.
+def glue_tracks(dmap: DecisionMap, cfg: TrackerConfig) -> list[SignalEventTrack]:
+    """Connected same-class regions under (cfg.gap, cfg.width)-dilated adjacency.
 
     Track bounds are the bounding box of the real (undilated) cells;
     center channel is the median channel of those cells; confidence is the
-    mean winning score.  Components shorter than ``min_duration`` frames
-    or smaller than ``min_area`` cells are discarded.
+    mean winning score.  Components shorter than ``cfg.min_duration``
+    frames or smaller than ``cfg.min_area`` cells are discarded.
     """
-    if gap < 0 or width < 0 or min_duration < 0:
-        raise ConfigurationError("gap, width, and min_duration must be >= 0")
     tracks = []
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])  # 4-connectivity
     for class_id in range(1, CLASS_COUNT):
@@ -79,7 +86,7 @@ def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,
             continue
         # A max filter over the (gap, width) rectangle is that rectangle's
         # binary dilation with a zero border.
-        dilated = ndimage.maximum_filter(mask, size=(2 * gap + 1, 2 * width + 1),
+        dilated = ndimage.maximum_filter(mask, size=(2 * cfg.gap + 1, 2 * cfg.width + 1),
                                          mode="constant")
         labeled, _ = ndimage.label(dilated, structure=structure)
         for comp, box in enumerate(ndimage.find_objects(labeled), start=1):
@@ -89,7 +96,7 @@ def glue_tracks(dmap: DecisionMap, gap: int = 2, width: int = 2,
             frames += box[0].start
             chans += box[1].start
             n_b, n_e = int(frames.min()), int(frames.max())
-            if n_e - n_b + 1 < min_duration or frames.size < min_area:
+            if n_e - n_b + 1 < cfg.min_duration or frames.size < cfg.min_area:
                 continue
             conf = float(np.mean(dmap.scores[frames, chans, class_id]))
             tracks.append(SignalEventTrack(
@@ -188,9 +195,10 @@ class EventReport:
     expected_beta: float | None = None
 
 
-def apply_error_budget(tracks, budget: ErrorBudget,
+def apply_error_budget(tracks, budget: TrackerConfig,
                        calibration: CalibrationTable) -> list[EventReport]:
-    """Keep tracks whose calibrated operating point satisfies the budget.
+    """Keep tracks whose calibrated operating point satisfies the error
+    budget ``budget.alpha`` and ``budget.beta``.
 
     Picks the most permissive threshold with expected false-alarm rate
     within ``budget.alpha``; tightening alpha can only shrink the admitted

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import CLASS_COUNT
+from .config import at_least
 from .errors import (ConfigurationError, DivergenceError, MissingDataError,
                      NonFiniteGradientError)
 from .features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
@@ -30,21 +31,21 @@ from .ensemble import EnsembleModel, predict_fused, threshold_decide
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``training`` section."""
     epochs: int = 200
     batch_size: int = 64
     lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    seed: int = 0
     early_stop_acc: float | None = None   # stop once test accuracy reaches this
+    relabel: bool = False                 # let the trained ensemble audit the labels
+    relabel_confidence: float = 0.95      # fused score a label flip needs
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigurationError("lr must be >= 0")
+        at_least(self, epochs=1, batch_size=1, lr=0)
+        if not 0.0 <= self.relabel_confidence <= 1.0:
+            raise ConfigurationError(f"relabel_confidence must lie in [0, 1], "
+                                     f"got {self.relabel_confidence}")
 
 
 @dataclass
@@ -85,12 +86,13 @@ def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     return int(np.sum(np.argmax(probs, axis=1) == y)) / x.shape[0]
 
 
-def train_member(net: Network, train_set, test_set, cfg: TrainConfig):
+def train_member(net: Network, train_set, test_set, cfg: TrainConfig, seed: int):
     """Mini-batch SGD; returns (best network, history).
 
     ``train_set``/``test_set`` are (blobs, labels) pairs with blobs shaped
     (N, subwindows, feature_dim) and integer labels.  Deterministic for a
-    fixed (cfg, data): shuffling and dropout come from one seeded rng.
+    fixed (cfg, seed, data): shuffling and dropout come from one rng seeded
+    by ``seed``.
     A non-finite loss aborts with the last good parameters attached.
     """
     x_train, y_train = train_set
@@ -101,7 +103,7 @@ def train_member(net: Network, train_set, test_set, cfg: TrainConfig):
     y_test = np.asarray(y_test, dtype=np.int64)
     t_train = one_hot(y_train, net.spec.n_classes)
 
-    rng = np.random.default_rng([cfg.seed, 0x7EA1])
+    rng = np.random.default_rng([seed, 0x7EA1])
     history = TrainHistory()
     velocity = None
     best = net.clone()
@@ -148,7 +150,7 @@ class RelabelChange:
 
 
 def relabel_dataset(model: EnsembleModel, blobs: np.ndarray, labels: np.ndarray,
-                    threshold: float, confidence: float = 0.95):
+                    threshold: float, confidence: float):
     """Let the trained ensemble audit the labels.
 
     For every frame: fuse member scores by L2, apply the threshold rule;
@@ -167,36 +169,34 @@ def relabel_dataset(model: EnsembleModel, blobs: np.ndarray, labels: np.ndarray,
 
 
 def train_ensemble(train_set, test_set, normalizer: NormalizerStats, pipeline: Pipeline,
-                   cfg: TrainConfig, threshold: float,
-                   relabel_confidence: float | None = None):
-    """Train the reference members C1-C3 (member j seeded ``cfg.seed + j``).
+                   cfg: TrainConfig, threshold: float, seed: int):
+    """Train the reference members C1-C3 (member j seeded ``seed + j``).
 
-    With ``relabel_confidence`` set, the trained ensemble then relabels the
-    training set, and if any label changed, each member trains on for a
-    quarter of the epochs at half the rate (seed ``cfg.seed + 100 + j``);
-    its history then continues with those epochs.  Returns (model,
-    per-member histories, relabel changes).
+    With ``cfg.relabel`` on, the trained ensemble then relabels the training
+    set at ``cfg.relabel_confidence``, and if any label changed, each member
+    trains on for a quarter of the epochs at half the rate (seed
+    ``seed + 100 + j``); its history then continues with those epochs.
+    Returns (model, per-member histories, relabel changes).
     """
     specs = reference_member_specs((pipeline.features.subwindows,
                                     pipeline.features.feature_dim))
     members, histories = [], []
     for j, spec in enumerate(specs):
-        best, history = train_member(Network(spec, seed=cfg.seed + j), train_set,
-                                     test_set, replace(cfg, seed=cfg.seed + j))
+        best, history = train_member(Network(spec, seed=seed + j), train_set,
+                                     test_set, cfg, seed + j)
         members.append(best)
         histories.append(history)
     model = EnsembleModel(members, normalizer, pipeline)
     changes = []
-    if relabel_confidence is not None:
+    if cfg.relabel:
         x_train, y_train = train_set
         new_labels, changes = relabel_dataset(model, x_train, y_train, threshold,
-                                              relabel_confidence)
+                                              cfg.relabel_confidence)
         if changes:
+            tc = replace(cfg, epochs=max(1, cfg.epochs // 4), lr=cfg.lr / 2)
             for j in range(3):
-                tc = replace(cfg, epochs=max(1, cfg.epochs // 4), lr=cfg.lr / 2,
-                             seed=cfg.seed + 100 + j)
                 model.members[j], history = train_member(
-                    model.members[j], (x_train, new_labels), test_set, tc)
+                    model.members[j], (x_train, new_labels), test_set, tc, seed + 100 + j)
                 # Fine-tune epochs number on from the first run's.
                 start = len(histories[j].records)
                 histories[j].records.extend(replace(r, epoch=start + r.epoch)
@@ -252,9 +252,9 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     return blobs, cells
 
 
-def stream_scores(stream, model: EnsembleModel, fusion: str = "l2") -> np.ndarray:
+def stream_scores(stream, model: EnsembleModel, fusion: str) -> np.ndarray:
     """Fused score grid (n_frames, channels, CLASS_COUNT) of a whole stream,
-    through the model's pipeline and normalizer."""
+    through the model's pipeline and normalizer, by the ``fusion`` rule."""
     p = model.pipeline
     blobs, _ = stream_features(stream, p.framing, p.features, p.adapt_decay, p.band)
     fused = predict_fused(model, standardize(blobs, model.normalizer, p.features.clip),

@@ -41,9 +41,9 @@ MAX_EPOCHS = 12          # within the 200-epoch budget
 def trained_pipeline(tmp_path_factory):
     """Default synthetic dataset (7 x 2000 train / 7 x 300 test), saved and
     loaded as the CLI does, and the three members trained on it."""
-    manifest = siggen.generate_dataset(frames_per_class=2400, seed=20,
-                                       scenarios_per_class=8, channels=4,
-                                       split_ratio=7)
+    manifest = siggen.generate_dataset(
+        siggen.DatasetConfig(frames_per_class=2400, scenarios_per_class=8, channels=4,
+                             split_ratio=7), seed=20)
     root = siggen.save_dataset(manifest, tmp_path_factory.mktemp("criterion6") / "ds")
     blobs, labels, splits = training.load_dataset_features(root)
     (x_tr, y_tr), (x_te, y_te), stats = training.standardized_sets(
@@ -62,10 +62,10 @@ def trained_pipeline(tmp_path_factory):
     members, best_accs = [], []
     for j, spec in enumerate(tensornet.reference_member_specs()):
         cfg = training.TrainConfig(epochs=MAX_EPOCHS, batch_size=64, lr=0.05,
-                                   momentum=0.9, weight_decay=1e-4, seed=j,
+                                   momentum=0.9, weight_decay=1e-4,
                                    early_stop_acc=EARLY_STOP)
         net = tensornet.Network(spec, seed=j)
-        best, history = training.train_member(net, (x_tr, y_tr), (x_te, y_te), cfg)
+        best, history = training.train_member(net, (x_tr, y_tr), (x_te, y_te), cfg, j)
         members.append(best)
         best_accs.append(max(r.test_accuracy for r in history.records))
     model = ensemble.EnsembleModel(members, stats)
@@ -234,10 +234,9 @@ class TestCriterion7:
                 perp_ok = False
                 break
 
-        cfg = embedding.EmbeddingConfig(dims=2, perplexity=30.0, iterations=350,
-                                        seed=7)
+        cfg = embedding.EmbeddingConfig(dims=2, perplexity=30.0, iterations=350)
         trace: list = []
-        emb = embedding.tsne(pts, cfg, kl_trace=trace)
+        emb = embedding.tsne(pts, cfg, 7, kl_trace=trace)
         kl_ok = np.all(np.diff(trace) <= 1e-9)
 
         d = embedding._sq_dists(emb)
@@ -256,12 +255,11 @@ class TestCriterion8:
     def test_de_sphere(self):
         tic = time.perf_counter()
         bounds = np.array([[-5.0, 5.0]] * 10)
-        cfg = DEConfig(population=40, weight=0.5, crossover=0.9,
-                       generations=500, seed=8)
+        cfg = DEConfig(population=40, weight=0.5, crossover=0.9, generations=500)
         def sphere(x):
             return float(np.sum(x ** 2))
-        best1, val1, _ = de_optimize(bounds, sphere, cfg)
-        best2, val2, _ = de_optimize(bounds, sphere, cfg)
+        best1, val1, _ = de_optimize(bounds, sphere, cfg, 8)
+        best2, val2, _ = de_optimize(bounds, sphere, cfg, 8)
         elapsed = time.perf_counter() - tic
         criterion(8, "10-D sphere below 1e-6 with NP=40 x 500 generations, "
                      "deterministic per seed",
@@ -296,14 +294,14 @@ class TestCriterion10:
 
         def decision_map_for(spec):
             stream, truth = siggen.render_scenario(spec, model.pipeline.framing)
-            grid = training.stream_scores(stream, model)
+            grid = training.stream_scores(stream, model, "l2")
             return tracker.build_decision_map(grid, 0.5), truth
 
         event = siggen.EventSpec(6, 10.0, 20.0, 5, 7)
         spec = siggen.ScenarioSpec(30.0, 8, profiles[0], (event,), seed=1006)
         dmap, truth = decision_map_for(spec)
-        tracks = tracker.glue_tracks(dmap, gap=2, width=2, min_duration=3,
-                                     min_area=6)
+        glue = tracker.TrackerConfig(gap=2, width=2, min_duration=3, min_area=6)
+        tracks = tracker.glue_tracks(dmap, glue)
         one_track = len(tracks) == 1 and tracks[0].class_id == 6
         if one_track:
             t, ref = tracks[0], truth[0]
@@ -316,8 +314,7 @@ class TestCriterion10:
 
         quiet = siggen.ScenarioSpec(30.0, 8, profiles[0], (), seed=1007)
         qmap, _ = decision_map_for(quiet)
-        quiet_tracks = tracker.glue_tracks(qmap, gap=2, width=2, min_duration=3,
-                                           min_area=6)
+        quiet_tracks = tracker.glue_tracks(qmap, glue)
         criterion(10, "one injected class-6 event -> exactly one class-6 track "
                       "within 2 frames / 2 channels; pure background -> zero tracks",
                   one_track and time_ok and chan_ok and not quiet_tracks,
@@ -340,7 +337,7 @@ class TestCriterion10:
                         "--channels", "8", "--model", str(descriptor)]) == 0
         with np.load(tmp_path / "infer" / "scores.npz") as scores:
             fused, decisions = scores["fused"], scores["decisions"]
-        want = training.stream_scores(siggen.load_stream(raw, 8), model)
+        want = training.stream_scores(siggen.load_stream(raw, 8), model, "l2")
         assert fused.dtype == np.float32 and want.dtype == np.float64
         assert fused.shape == want.shape
         assert np.max(np.abs(fused - want)) <= 1e-6

@@ -35,17 +35,17 @@ class TestDeOptimize:
     def test_sphere_reaches_1e6(self):
         bounds = np.array([[-5.0, 5.0]] * 10)
         cfg = DEConfig(population=40, weight=0.5, crossover=0.9,
-                       generations=500, seed=0)
-        best, value, trace = de_optimize(bounds, sphere, cfg)
+                       generations=500)
+        best, value, trace = de_optimize(bounds, sphere, cfg, 0)
         assert value < 1e-6
         assert sphere(best) == value
 
     def test_selection_only_never_worsens_per_individual(self):
         bounds = np.array([[-3.0, 3.0]] * 5)
         cfg = DEConfig(population=8, weight=0.0, crossover=0.0,
-                       generations=30, seed=1)
+                       generations=30)
         per_gen = []
-        de_optimize(bounds, sphere, cfg,
+        de_optimize(bounds, sphere, cfg, 1,
                     on_generation=lambda g, pop, vals: per_gen.append(vals))
         stacked = np.stack(per_gen)
         assert np.all(np.diff(stacked, axis=0) <= 1e-15)
@@ -53,17 +53,17 @@ class TestDeOptimize:
     def test_best_fitness_monotone_across_generations(self):
         bounds = np.array([[-5.0, 5.0]] * 6)
         cfg = DEConfig(population=12, weight=0.7, crossover=0.8,
-                       generations=60, seed=3)
-        _, _, trace = de_optimize(bounds, sphere, cfg)
+                       generations=60)
+        _, _, trace = de_optimize(bounds, sphere, cfg, 3)
         fits = [t.best_fitness for t in trace]
         assert all(b <= a + 1e-15 for a, b in zip(fits, fits[1:]))
 
     def test_deterministic_trace(self):
         bounds = np.array([[-2.0, 2.0]] * 4)
         cfg = DEConfig(population=10, weight=0.5, crossover=0.9,
-                       generations=20, seed=7)
-        a = de_optimize(bounds, sphere, cfg)
-        b = de_optimize(bounds, sphere, cfg)
+                       generations=20)
+        a = de_optimize(bounds, sphere, cfg, 7)
+        b = de_optimize(bounds, sphere, cfg, 7)
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
         assert [t.best_fitness for t in a[2]] == [t.best_fitness for t in b[2]]
@@ -75,8 +75,8 @@ class TestDeOptimize:
     def test_solutions_respect_bounds(self):
         bounds = np.array([[0.5, 1.5]] * 3)
         cfg = DEConfig(population=8, weight=1.9, crossover=1.0,
-                       generations=15, seed=2)
-        best, _, _ = de_optimize(bounds, sphere, cfg)
+                       generations=15)
+        best, _, _ = de_optimize(bounds, sphere, cfg, 2)
         assert np.all(best >= 0.5) and np.all(best <= 1.5)
 
 
@@ -149,7 +149,6 @@ class TestFitness:
     def test_random_net_near_chance(self, rng):
         x, y = toy_sets(rng)
         spec = NetworkSpec((4, 6), (DenseSpec(8), ReluSpec()))
-        cfg = TrainConfig(epochs=1, lr=0.05, seed=0)
         net = Network(spec, seed=0)
         from fiberwatch.training import evaluate_accuracy
         acc = evaluate_accuracy(net, x, y)
@@ -158,24 +157,24 @@ class TestFitness:
     def test_trained_spec_keeps_known_accuracy(self, rng):
         x, y = toy_sets(rng)
         spec = NetworkSpec((4, 6), (DenseSpec(24), ReluSpec()))
-        cfg = TrainConfig(epochs=30, lr=0.1, momentum=0.9, seed=0)
+        cfg = TrainConfig(epochs=30, lr=0.1, momentum=0.9)
         acc = fitness_eval(spec, cfg, (x, y), (x, y), seed=0)
         assert acc > 0.9
 
     def test_fitness_is_the_best_epoch_accuracy(self, rng):
         x, y = toy_sets(rng)
         spec = NetworkSpec((4, 6), (DenseSpec(8), ReluSpec()))
-        cfg = TrainConfig(epochs=6, lr=0.05, momentum=0.9, seed=3)
-        _, history = train_member(Network(spec, seed=3), (x, y), (x, y), cfg)
+        cfg = TrainConfig(epochs=6, lr=0.05, momentum=0.9)
+        _, history = train_member(Network(spec, seed=3), (x, y), (x, y), cfg, 3)
         best = max(r.test_accuracy for r in history.records)
         assert fitness_eval(spec, cfg, (x, y), (x, y), seed=3) == best
 
     def test_wider_net_beats_one_unit_bottleneck(self, rng):
         x, y = toy_sets(rng)
-        cfg = TrainConfig(epochs=25, lr=0.1, momentum=0.9, seed=0)
-        tiny = fitness_eval(NetworkSpec((4, 6), (DenseSpec(1),)), cfg, (x, y), (x, y))
+        cfg = TrainConfig(epochs=25, lr=0.1, momentum=0.9)
+        tiny = fitness_eval(NetworkSpec((4, 6), (DenseSpec(1),)), cfg, (x, y), (x, y), 0)
         wide = fitness_eval(NetworkSpec((4, 6), (DenseSpec(32), ReluSpec())),
-                            cfg, (x, y), (x, y))
+                            cfg, (x, y), (x, y), 0)
         assert wide > tiny
 
     def test_architecture_fitness_closure(self, rng):

@@ -353,7 +353,7 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("section, key, value, fragment", [
         ("framing", "adapt_decay", -3, "adapt_decay"),
         ("framing", "adapt_decay", 1.5, "adapt_decay"),
-        ("ensemble", "threshold", 0, "thresholds"),
+        ("ensemble", "threshold", 0, "ensemble.threshold"),
         ("features", "subwindows", 7, "not divisible by 7"),
     ])
     def test_infer_exits_2(self, tmp_path, capsys, model, section, key, value, fragment):
@@ -373,6 +373,44 @@ class TestBadConfigValues:
         assert run(["--config", str(cfg), "--out", str(tmp_path / "ds"), "gen"]) \
             == EXIT_CONFIG
         assert one_config_error_line(capsys, f"{key} must be >=")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("search", "max_frames_per_class", 0),
+        ("features", "bank_bands", 0),
+        ("embedding", "pca_components", 0),
+        ("embedding", "iterations", 0),
+        ("training", "relabel_confidence", 2.0),
+        ("tracker", "min_area", -1),
+        ("ensemble", "fusion", "mean"),
+        ("training", "lr", float("nan")),
+        ("framing", "band_lo_hz", 0.0),
+    ])
+    def test_any_section_checked_before_gen_runs(self, tmp_path, capsys, section, key,
+                                                 value):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc[section] = {key: value}
+        cfg.write_text(json.dumps(doc))      # writes NaN as the token Python's json reads
+        out = tmp_path / "ds"
+        assert run(["--config", str(cfg), "--out", str(out), "gen"]) == EXIT_CONFIG
+        assert one_config_error_line(capsys, f"configuration error: {section}.{key} ")
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run(["--config", str(write_config(tmp_path)), "--seed", "-1",
+                    "--out", str(out), "gen"]) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "seed must be >= 0, got -1")
+        assert not out.exists()
+
+    def test_non_finite_learning_rate_trains_nothing(self, tmp_path, capsys, dataset):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"training": {"lr": NaN, "epochs": 1}}')
+        out = tmp_path / "model"
+        assert run(["--config", str(cfg), "--out", str(out), "train", "--data",
+                    str(dataset)]) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "training.lr must be finite, got nan")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_train_batch_size_exits_2(self, tmp_path, capsys, dataset, value):
@@ -397,7 +435,7 @@ class TestBadConfigValues:
         code = run(["--config", str(cfg), "--out", str(tmp_path / "track"), "track",
                     "--scores", str(scores)])
         assert code == EXIT_CONFIG
-        assert one_config_error_line(capsys, "thresholds")
+        assert one_config_error_line(capsys, "ensemble.threshold")
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +552,14 @@ class TestModelPipeline:
     def test_eval_without_normalizer_exits_2(self, tmp_path, capsys, dataset, bare_model):
         assert evaluate(tmp_path, dataset, bare_model) == EXIT_CONFIG
         assert one_config_error_line(capsys, "KeyError('normalizer')")
+
+    def test_descriptor_with_non_finite_pipeline_value_exits_2(self, tmp_path, capsys,
+                                                              model):
+        desc = json.loads(model.read_text())
+        desc["pipeline"]["features"]["clip"] = float("inf")
+        model.write_text(json.dumps(desc))      # writes the token Infinity
+        assert infer(tmp_path, model, self.STREAM, 2) == EXIT_CONFIG
+        assert one_config_error_line(capsys, "pipeline.features.clip must be finite, got inf")
 
     def test_descriptor_without_pipeline_scores_with_defaults(self, tmp_path, model):
         assert infer(tmp_path, model, self.STREAM, 2) == 0

@@ -1,6 +1,7 @@
 """Corrupted model descriptors, member checkpoints, score files, stored
-predictions, calibration tables and dataset files must end with a
-documented exit code and, when non-zero, one line on stderr."""
+predictions, calibration tables and dataset files, and out-of-range
+configuration values, must end with a documented exit code and, when
+non-zero, one line on stderr."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fiberwatch.cli import run
+from fiberwatch.cli import DEFAULTS, run
 from fiberwatch.ensemble import EnsembleModel, save_ensemble
 from fiberwatch.features import NormalizerStats
 from fiberwatch.tensornet import Network, reference_member_specs
@@ -20,6 +21,14 @@ from fiberwatch.tracker import CalibrationTable
 EXIT_CODES = {0, 2, 3, 4}
 FUZZ = settings(derandomize=True, database=None, max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
+# A configuration under which every command runs in about a second on the
+# fixture's dataset (28 frames).
+TINY = {"dataset": {"frames_per_class": 4, "scenarios_per_class": 2, "channels": 2,
+                    "split_ratio": 1},
+        "training": {"epochs": 1},
+        "embedding": {"perplexity": 5.0, "iterations": 20},
+        "search": {"population": 4, "generations": 1, "epochs": 1,
+                   "max_frames_per_class": 2}}
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +44,7 @@ def files(tmp_path_factory):
     np.savez(scores, fused=np.random.default_rng(1).dirichlet(np.ones(7), size=(5, 3)))
     dataset = root / "ds"
     config = root / "config.json"
-    config.write_text(json.dumps({"dataset": {"frames_per_class": 4, "scenarios_per_class": 2,
-                                              "channels": 2, "split_ratio": 1}}))
+    config.write_text(json.dumps(TINY))
     assert run_captured(["--config", config, "--out", dataset, "gen"])[0] == 0
     predictions = root / "predictions.npy"
     np.save(predictions, np.random.default_rng(2).dirichlet(np.ones(7), size=14))
@@ -45,7 +53,7 @@ def files(tmp_path_factory):
                                             np.array([0.6, 0.3, 0.0]),
                                             np.array([0.0, 0.2, 0.5])).to_json())
     return {"root": root, "model": model, "stream": stream, "scores": scores,
-            "checkpoint": model.with_suffix(".c2.net"), "dataset": dataset,
+            "checkpoint": model.with_suffix(".c2.net"), "dataset": dataset, "config": config,
             "predictions": predictions, "calibration": calibration,
             "meta": dataset / "meta.json", "manifest": dataset / "manifest.jsonl"}
 
@@ -114,6 +122,16 @@ def argv_reading(files, target):
     return infer_argv(files)
 
 
+def argv_reading_section(files, section):
+    """A command that reads the configuration's ``section``."""
+    data = ["--data", files["dataset"]]
+    return {"seed": ["gen"], "dataset": ["gen"], "framing": ["train", *data],
+            "features": ["train", *data], "training": ["train", *data],
+            "ensemble": infer_argv(files)[2:], "embedding": ["analyze", *data],
+            "search": ["search", *data],
+            "tracker": argv_reading(files, "calibration")[2:]}[section]
+
+
 def corrupted_run_ends_cleanly(files, target, mode, at, byte):
     path = files[target]
     pristine = path.read_bytes()
@@ -146,6 +164,19 @@ def mistyped_manifest_line_ends_cleanly(files, line, path, value):
     finally:
         manifest.write_text(pristine)
 
+
+# Every leaf a command reads; `out` is left alone, and the `scenario`,
+# `workers` and `bench` sections are read by no command.
+READ_LEAVES = [("seed", None)] + [
+    (section, key) for section in ("dataset", "framing", "features", "training",
+                                   "ensemble", "embedding", "search", "tracker")
+    for key in DEFAULTS[section]]
+# Integers around and below each range, small, huge and non-finite floats,
+# and values of other types.
+config_values = st.one_of(
+    st.integers(-3, 6), st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([None, True, False, "", "l2", [], [1]]))
 
 corruptions = dict(mode=st.sampled_from(["flip", "truncate", "insert"]),
                    at=st.integers(0, 400) | st.integers(0, 10 ** 7),
@@ -194,3 +225,18 @@ def test_mistyped_dataset_meta_entries_end_cleanly(files, path, value):
 @given(line=st.integers(0, 10 ** 6), **leaf_changes)
 def test_mistyped_manifest_entries_end_cleanly(files, line, path, value):
     mistyped_manifest_line_ends_cleanly(files, line, path, value)
+
+
+@settings(FUZZ, max_examples=150)        # about 40 leaves: more draws than the others
+@given(leaf=st.sampled_from(READ_LEAVES), value=config_values)
+def test_configuration_values_end_cleanly(files, leaf, value):
+    section, key = leaf
+    doc = json.loads(files["config"].read_text())
+    if key is None:
+        doc[section] = value
+    else:
+        doc.setdefault(section, {})[key] = value
+    config = files["root"] / "values.json"
+    config.write_text(json.dumps(doc))
+    assert_clean(*run_captured(["--config", config, "--out", files["root"] / "values",
+                                *argv_reading_section(files, section)]))

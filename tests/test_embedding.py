@@ -125,10 +125,10 @@ class TestTsne:
 
     def test_kl_non_increasing_after_exaggeration(self, rng):
         pts, _ = three_blobs(rng, per=40, spread=0.3, sep=5.0)
-        cfg = EmbeddingConfig(dims=2, perplexity=15.0, iterations=220,
-                              exaggeration_iters=60, momentum_switch=100, seed=1)
+        # 160 steps after the fixed 100 of exaggeration.
+        cfg = EmbeddingConfig(dims=2, perplexity=15.0, iterations=260)
         trace: list = []
-        emb = tsne(pts, cfg, kl_trace=trace)
+        emb = tsne(pts, cfg, 1, kl_trace=trace)
         assert emb.shape == (120, 2)
         assert len(trace) == cfg.iterations - cfg.exaggeration_iters
         diffs = np.diff(trace)
@@ -136,8 +136,8 @@ class TestTsne:
 
     def test_three_blob_purity(self, rng):
         pts, labels = three_blobs(rng)
-        cfg = EmbeddingConfig(dims=2, perplexity=30.0, iterations=300, seed=0)
-        emb = tsne(pts, cfg)
+        cfg = EmbeddingConfig(dims=2, perplexity=30.0, iterations=300)
+        emb = tsne(pts, cfg, 0)
         # 10-NN label purity oracle on the embedding
         d = _sq_dists(emb)
         np.fill_diagonal(d, np.inf)
@@ -149,21 +149,21 @@ class TestTsne:
 
     def test_deterministic_given_seed(self, rng):
         pts, _ = three_blobs(rng, per=35, sep=6.0)
-        cfg = EmbeddingConfig(dims=2, perplexity=20.0, iterations=120, seed=9)
-        a = tsne(pts, cfg)
-        b = tsne(pts, cfg)
+        cfg = EmbeddingConfig(dims=2, perplexity=20.0, iterations=120)
+        a = tsne(pts, cfg, 9)
+        b = tsne(pts, cfg, 9)
         assert np.array_equal(a, b)
 
     def test_duplicate_points_jittered_with_warning(self, rng):
         pts = np.concatenate([rng.normal(size=(70, 3)), np.zeros((2, 3))])
-        cfg = EmbeddingConfig(dims=2, perplexity=15.0, iterations=60, seed=2)
+        cfg = EmbeddingConfig(dims=2, perplexity=15.0, iterations=60)
         with pytest.warns(UserWarning, match="duplicate"):
-            emb = tsne(pts, cfg)
+            emb = tsne(pts, cfg, 2)
         assert np.all(np.isfinite(emb))
 
     def test_too_few_points_rejected(self, rng):
         with pytest.raises(ConfigurationError):
-            tsne(rng.normal(size=(20, 3)), EmbeddingConfig(perplexity=30.0))
+            tsne(rng.normal(size=(20, 3)), EmbeddingConfig(perplexity=30.0), 0)
 
 
 class TestMedianCenters:

@@ -283,6 +283,15 @@ class TestPipeline:
         with pytest.raises(ConfigurationError, match="clip"):
             Pipeline(features=FeatureConfig(clip=clip))
 
+    def test_bank_bands_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="features.bank_bands must be >= 1"):
+            Pipeline(features=FeatureConfig(bank_bands=0))
+
+    @pytest.mark.parametrize("band", [(0.0, 800.0), (5.0, 833.0), (10.0, 5.0)])
+    def test_band_must_lie_inside_nyquist(self, band):
+        with pytest.raises(ConfigurationError, match="framing.band_lo_hz and band_hi_hz"):
+            Pipeline(band=band)
+
     def test_dict_round_trip_uses_config_sections(self):
         p = Pipeline(FrameShaperConfig(1024, 4), (10.0, 700.0), 0.2,
                      FeatureConfig(subwindows=8, clip=3.0))

@@ -110,10 +110,14 @@ class TestPrimaryFilter:
 
     def test_invalid_band_rejected(self):
         stream = IntensityStream(np.zeros((1, 100)))
-        with pytest.raises(ConfigurationError):
-            primary_filter(stream, (800.0, 5.0))
-        with pytest.raises(ConfigurationError):
-            primary_filter(stream, (5.0, 900.0))
+        # Edges at 0 Hz or at Nyquist are outside the digital design's range.
+        for band in [(800.0, 5.0), (5.0, 900.0), (0.0, 800.0), (5.0, 833.0)]:
+            with pytest.raises(ConfigurationError):
+                primary_filter(stream, band)
+
+    def test_band_edge_near_zero_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="singular filter"):
+            primary_filter(IntensityStream(np.ones((1, 100))), (1e-10, 800.0))
 
 
 class TestRunningStats:

@@ -3,7 +3,7 @@ import pytest
 
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.siggen import GroundTruthEvent
-from fiberwatch.tracker import (CalibrationTable, DecisionMap, ErrorBudget,
+from fiberwatch.tracker import (CalibrationTable, DecisionMap, TrackerConfig,
                                 SignalEventTrack, apply_error_budget,
                                 build_decision_map, calibrate_budget,
                                 glue_tracks, track_matches_event)
@@ -129,7 +129,8 @@ class TestGlueTracks:
         decisions = np.zeros((40, 12), dtype=int)
         decisions[10:21, 5:8] = 6
         dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
-        tracks = glue_tracks(dmap, gap=2, width=2, min_duration=3)
+        cfg = TrackerConfig(gap=2, width=2, min_duration=3, min_area=1)
+        tracks = glue_tracks(dmap, cfg)
         assert len(tracks) == 1
         t = tracks[0]
         assert (t.class_id, t.frame_begin, t.frame_end) == (6, 10, 20)
@@ -140,17 +141,20 @@ class TestGlueTracks:
         decisions = np.zeros((30, 6), dtype=int)
         decisions[4, 2] = 5
         dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
-        assert glue_tracks(dmap, gap=0, width=0, min_duration=3) == []
+        cfg = TrackerConfig(gap=0, width=0, min_duration=3, min_area=1)
+        assert glue_tracks(dmap, cfg) == []
 
     def test_gap_merges_blocks(self):
         decisions = np.zeros((40, 4), dtype=int)
         decisions[5:10, 1:3] = 2
         decisions[12:17, 1:3] = 2     # 2-frame gap
         dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
-        merged = glue_tracks(dmap, gap=2, width=0, min_duration=3)
+        cfg = TrackerConfig(gap=2, width=0, min_duration=3, min_area=1)
+        merged = glue_tracks(dmap, cfg)
         assert len(merged) == 1
         assert (merged[0].frame_begin, merged[0].frame_end) == (5, 16)
-        split = glue_tracks(dmap, gap=0, width=0, min_duration=3)
+        cfg = TrackerConfig(gap=0, width=0, min_duration=3, min_area=1)
+        split = glue_tracks(dmap, cfg)
         assert len(split) == 2
 
     def test_distinct_classes_stay_separate(self):
@@ -158,7 +162,8 @@ class TestGlueTracks:
         decisions[5:12, 0:2] = 2
         decisions[5:12, 4:6] = 3
         dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
-        tracks = glue_tracks(dmap, gap=2, width=2, min_duration=3)
+        cfg = TrackerConfig(gap=2, width=2, min_duration=3, min_area=1)
+        tracks = glue_tracks(dmap, cfg)
         assert sorted(t.class_id for t in tracks) == [2, 3]
 
     @pytest.mark.parametrize("gap,width,min_dur,min_area", [
@@ -172,7 +177,7 @@ class TestGlueTracks:
                                    p=[0.82, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03])
             scores = scores_from_decisions(decisions)
             dmap = build_decision_map(scores, 0.5)
-            got = glue_tracks(dmap, gap, width, min_dur, min_area)
+            got = glue_tracks(dmap, TrackerConfig(gap, width, min_dur, min_area))
             want = flood_fill_tracks(dmap.decisions, scores, gap, width,
                                      min_dur, min_area)
             assert got == want
@@ -188,7 +193,7 @@ class TestGlueTracks:
         decisions[-1, -1] = 5
         scores = scores_from_decisions(decisions)
         dmap = build_decision_map(scores, 0.5)
-        got = glue_tracks(dmap, gap=1, width=1, min_duration=1, min_area=1)
+        got = glue_tracks(dmap, TrackerConfig(gap=1, width=1, min_duration=1, min_area=1))
         assert got == flood_fill_tracks(dmap.decisions, scores, 1, 1, 1, 1)
         assert len(got) >= 100
         assert any(t.frame_begin == 0 for t in got)
@@ -199,7 +204,8 @@ class TestGlueTracks:
     def test_bounds_never_exceed_map(self, rng):
         decisions = rng.choice(7, size=(20, 8))
         dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
-        for t in glue_tracks(dmap, gap=3, width=3, min_duration=1):
+        cfg = TrackerConfig(gap=3, width=3, min_duration=1, min_area=1)
+        for t in glue_tracks(dmap, cfg):
             assert 0 <= t.frame_begin <= t.frame_end < 20
             assert 0 <= t.chan_lo <= t.chan_hi < 8
 
@@ -210,9 +216,9 @@ class TestGlueTracks:
         decisions[20:30, 6:9] = 4
         decisions[40:46, 12:15] = 2
         dmap = build_decision_map(scores_from_decisions(decisions), 0.5)
-        tracks = glue_tracks(dmap, gap=0, width=0, min_duration=1)
-        again = glue_tracks(rasterize_tracks(tracks, dmap.decisions.shape),
-                            gap=0, width=0, min_duration=1)
+        cfg = TrackerConfig(gap=0, width=0, min_duration=1, min_area=1)
+        tracks = glue_tracks(dmap, cfg)
+        again = glue_tracks(rasterize_tracks(tracks, dmap.decisions.shape), cfg)
         assert len(tracks) == len(again)
         for a, b in zip(tracks, again):
             assert (a.class_id, a.frame_begin, a.frame_end, a.chan_lo, a.chan_hi,
@@ -222,9 +228,8 @@ class TestGlueTracks:
             assert a.mean_confidence == pytest.approx(b.mean_confidence, abs=1e-12)
 
     def test_negative_parameters_rejected(self):
-        dmap = build_decision_map(np.zeros((4, 4, 7)), 0.5)
         with pytest.raises(ConfigurationError):
-            glue_tracks(dmap, gap=-1)
+            TrackerConfig(gap=-1)
 
 
 def make_track(class_id, begin, end, conf, chan=(0, 2)):
@@ -249,12 +254,12 @@ class TestErrorBudget:
         assert np.all(np.diff(self.table.beta_hat) >= -1e-12)
 
     def test_permissive_budget_admits_everything(self):
-        budget = ErrorBudget(alpha=1.0 - 1e-9, beta=1.0 - 1e-9)
+        budget = TrackerConfig(alpha=1.0 - 1e-9, beta=1.0 - 1e-9)
         reports = apply_error_budget(self.tracks, budget, self.table)
         assert all(r.admitted for r in reports)
 
     def test_tight_alpha_keeps_only_confident(self):
-        budget = ErrorBudget(alpha=1e-6, beta=0.999)
+        budget = TrackerConfig(alpha=1e-6, beta=0.999)
         reports = apply_error_budget(self.tracks, budget, self.table)
         admitted = [r.track for r in reports if r.admitted]
         assert all(t.mean_confidence >= 0.80 for t in admitted)
@@ -263,7 +268,7 @@ class TestErrorBudget:
     def test_monotone_nesting_over_alpha_sweep(self):
         previous = None
         for alpha in np.linspace(1e-6, 1.0 - 1e-6, 25):
-            reports = apply_error_budget(self.tracks, ErrorBudget(alpha, 0.5),
+            reports = apply_error_budget(self.tracks, TrackerConfig(alpha=alpha),
                                          self.table)
             admitted = {id(r.track) for r in reports if r.admitted}
             if previous is not None:
@@ -271,7 +276,7 @@ class TestErrorBudget:
             previous = admitted
 
     def test_empty_track_list_empty_report(self):
-        budget = ErrorBudget(alpha=0.5, beta=0.5)
+        budget = TrackerConfig(alpha=0.5, beta=0.5)
         assert apply_error_budget([], budget, self.table) == []
 
     def test_calibration_round_trips_json(self):
@@ -281,7 +286,7 @@ class TestErrorBudget:
 
     def test_budget_bounds_enforced(self):
         with pytest.raises(ConfigurationError):
-            ErrorBudget(alpha=0.0, beta=0.5)
+            TrackerConfig(alpha=0.0, beta=0.5)
 
     def test_track_event_matching(self):
         track = make_track(3, 11, 19, 0.9)

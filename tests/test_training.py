@@ -7,7 +7,7 @@ from fiberwatch.errors import ConfigurationError, DivergenceError
 from fiberwatch.features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
                                  standardize)
 from fiberwatch.framing import FrameShaperConfig, IntensityStream, frame_matrix, primary_filter
-from fiberwatch.siggen import generate_dataset, save_dataset
+from fiberwatch.siggen import DatasetConfig, generate_dataset, save_dataset
 from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
 from fiberwatch.training import (TrainConfig, cross_entropy_loss, dataset_labels,
                                  load_dataset_features, one_hot, relabel_dataset,
@@ -64,8 +64,8 @@ class TestTrainMember:
         x, y = toy_clusters(rng)
         xt, yt = toy_clusters(np.random.default_rng(999), per_class=10)
         cfg = TrainConfig(epochs=50, batch_size=16, lr=0.1, momentum=0.9,
-                          weight_decay=1e-5, seed=0)
-        best, history = train_member(toy_net(), (x, y), (xt, yt), cfg)
+                          weight_decay=1e-5)
+        best, history = train_member(toy_net(), (x, y), (xt, yt), cfg, 0)
         assert max(r.test_accuracy for r in history.records) == 1.0
         # returned parameters are the best-epoch snapshot
         from fiberwatch.training import evaluate_accuracy
@@ -75,8 +75,8 @@ class TestTrainMember:
         x, y = toy_clusters(rng, per_class=5)
         net = toy_net(seed=3)
         before = [p.copy() for p in net.parameters()]
-        cfg = TrainConfig(epochs=3, batch_size=8, lr=0.0, seed=0)
-        best, history = train_member(net, (x, y), (x, y), cfg)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=0.0)
+        best, history = train_member(net, (x, y), (x, y), cfg, 0)
         for b, p in zip(before, net.parameters()):
             assert np.array_equal(b, p)
         accs = {r.test_accuracy for r in history.records}
@@ -84,9 +84,9 @@ class TestTrainMember:
 
     def test_same_seed_identical_history(self, rng):
         x, y = toy_clusters(rng, per_class=8)
-        cfg = TrainConfig(epochs=4, batch_size=8, lr=0.05, momentum=0.9, seed=42)
-        b1, h1 = train_member(toy_net(1), (x, y), (x, y), cfg)
-        b2, h2 = train_member(toy_net(1), (x, y), (x, y), cfg)
+        cfg = TrainConfig(epochs=4, batch_size=8, lr=0.05, momentum=0.9)
+        b1, h1 = train_member(toy_net(1), (x, y), (x, y), cfg, 42)
+        b2, h2 = train_member(toy_net(1), (x, y), (x, y), cfg, 42)
         assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
         assert [r.test_accuracy for r in h1.records] == [r.test_accuracy for r in h2.records]
         for p, q in zip(b1.parameters(), b2.parameters()):
@@ -95,17 +95,17 @@ class TestTrainMember:
     def test_divergence_aborts_with_last_good(self, rng):
         x, y = toy_clusters(rng, per_class=5)
         net = toy_net(seed=4)
-        cfg = TrainConfig(epochs=10, batch_size=8, lr=1e9, momentum=0.9, seed=0)
+        cfg = TrainConfig(epochs=10, batch_size=8, lr=1e9, momentum=0.9)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                train_member(net, (x, y), (x, y), cfg)
+                train_member(net, (x, y), (x, y), cfg, 0)
         assert err.value.last_good is not None
 
     def test_early_stop_caps_epochs(self, rng):
         x, y = toy_clusters(rng)
         cfg = TrainConfig(epochs=50, batch_size=16, lr=0.1, momentum=0.9,
-                          seed=0, early_stop_acc=0.9)
-        _, history = train_member(toy_net(), (x, y), (x, y), cfg)
+                          early_stop_acc=0.9)
+        _, history = train_member(toy_net(), (x, y), (x, y), cfg, 0)
         assert len(history.records) < 50
         assert history.records[-1].test_accuracy >= 0.9
 
@@ -115,14 +115,14 @@ class TestRelabel:
         x, y = toy_clusters(rng, per_class=20)
         members = []
         for j in range(3):
-            cfg = TrainConfig(epochs=40, batch_size=16, lr=0.1, momentum=0.9, seed=j)
-            best, _ = train_member(toy_net(seed=j), (x, y), (x, y), cfg)
+            cfg = TrainConfig(epochs=40, batch_size=16, lr=0.1, momentum=0.9)
+            best, _ = train_member(toy_net(seed=j), (x, y), (x, y), cfg, j)
             members.append(best)
         return EnsembleModel(members, NormalizerStats(np.zeros(64), np.ones(64))), x, y
 
     def test_agreeing_labels_unchanged(self, rng):
         model, x, y = self.trained_model(rng)
-        new_labels, changes = relabel_dataset(model, x, y, 0.5)
+        new_labels, changes = relabel_dataset(model, x, y, 0.5, confidence=0.95)
         assert changes == []
         assert np.array_equal(new_labels, y)
 
@@ -158,8 +158,8 @@ class TestRelabel:
 class TestLoadDataset:
     @pytest.fixture(scope="class")
     def dataset(self, tmp_path_factory):
-        manifest = generate_dataset(frames_per_class=8, seed=4, scenarios_per_class=2,
-                                    channels=2, split_ratio=1)
+        manifest = generate_dataset(DatasetConfig(frames_per_class=8, scenarios_per_class=2,
+                                                  channels=2, split_ratio=1), 4)
         return save_dataset(manifest, tmp_path_factory.mktemp("load") / "ds")
 
     def test_labels_match_the_loaded_features(self, dataset):
