@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import CLASS_COUNT
-from . import archsearch, config, embedding, ensemble, features, metrics
+from . import archsearch, config, embedding, ensemble, features, framing, metrics
 from . import siggen, tracker, training
 from .errors import ConfigurationError, NumericError
 
@@ -30,16 +30,15 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 
-# Each configuration section and the dataclass that holds its keys, their
-# defaults and their ranges; `features.Pipeline` holds "framing" and "features".
-SECTIONS = {"dataset": siggen.DatasetConfig, "training": training.TrainConfig,
+# Each configuration section and the dataclass that holds its keys, defaults and ranges.
+SECTIONS = {"framing": framing.FrameShaperConfig, "features": features.FeatureConfig,
+            "dataset": siggen.DatasetConfig, "training": training.TrainConfig,
             "ensemble": ensemble.EnsembleConfig, "embedding": embedding.EmbeddingConfig,
             "search": archsearch.DEConfig, "tracker": tracker.TrackerConfig}
 
 DEFAULTS = {
     "seed": 0,
     "out": "run",
-    **features.Pipeline().to_dict(),
     **{name: asdict(section()) for name, section in SECTIONS.items()},
     # Read by no command.  `gen` snapshots the whole configuration into each
     # dataset, and perfbench's recorded reference fingerprints hash those
@@ -97,13 +96,10 @@ class Settings:
     def from_dict(cls, cfg: dict) -> "Settings":
         """The sections of a validated, merged configuration; a range error
         names its section and key."""
-        sections = {}
-        for name, section in SECTIONS.items():
-            try:
-                sections[name] = section(**cfg[name])
-            except ConfigurationError as err:
-                raise ConfigurationError(f"{name}.{err}") from err
-        return cls(cfg["seed"], features.Pipeline.from_dict(cfg), **sections)
+        sections = {name: config.build_section(name, section, cfg[name])
+                    for name, section in SECTIONS.items()}
+        pipeline = features.Pipeline(sections.pop("framing"), sections.pop("features"))
+        return cls(cfg["seed"], pipeline, **sections)
 
 
 def _snapshot(cfg: dict, out: Path) -> None:
@@ -149,6 +145,10 @@ def cmd_train(cfg: Settings, out: Path, data_dir: str) -> int:
     model, histories, changes = training.train_ensemble(
         train_set, test_set, stats, cfg.pipeline, cfg.training, cfg.ensemble.threshold,
         cfg.seed)
+    # `infer` scores with float32 copies of the members; refuse, before
+    # writing anything, a member that it would refuse.
+    for net in model.members:
+        net.astype(np.float32)
     for j, history in enumerate(histories):
         acc = history.records[history.best_epoch()].test_accuracy
         print(f"member C{j + 1}: best test accuracy {acc:.4f} "

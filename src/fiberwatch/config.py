@@ -1,5 +1,5 @@
 """Type checks for configuration documents, read off their defaults, and the
-range check the section dataclasses share."""
+range check and builder the section dataclasses share."""
 
 import math
 
@@ -52,3 +52,11 @@ def at_least(section, **least) -> None:
         value = getattr(section, key)
         if not value >= low:
             raise ConfigurationError(f"{key} must be >= {low}, got {value}")
+
+
+def build_section(name: str, section, doc: dict):
+    """``section(**doc)``, whose range errors name ``name`` before their key."""
+    try:
+        return section(**doc)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{name}.{err}") from err

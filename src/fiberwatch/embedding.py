@@ -43,6 +43,9 @@ class EmbeddingConfig:
             raise ConfigurationError(f"dims must be 2 or 3, got {self.dims}")
         if not self.perplexity > 1:
             raise ConfigurationError(f"perplexity must exceed 1, got {self.perplexity}")
+        if not self.learning_rate > 0:
+            raise ConfigurationError(
+                f"learning_rate must be positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -154,12 +157,15 @@ def _tsne_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
          kl_trace: list | None = None) -> np.ndarray:
     """Embed points into cfg.dims dimensions; deterministic given ``seed``.
 
     When ``kl_trace`` is a list, the accepted KL value of every
-    post-exaggeration step is appended to it.
+    post-exaggeration step is appended to it.  A descent whose embedding
+    leaves the finite numbers (a learning rate too large) stops there with
+    NumericError; it runs with numpy's overflow and invalid warnings off.
     """
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
@@ -179,6 +185,8 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
     vel = np.zeros_like(y)
     kl_prev = None
     for it in range(cfg.iterations):
+        if not np.isfinite(y).all():
+            break
         exag = it < cfg.exaggeration_iters
         p_eff = p * cfg.exaggeration if exag else p
         momentum = cfg.momentum_early if it < cfg.momentum_switch else cfg.momentum_late
@@ -209,6 +217,9 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
         kl_prev = kl_new
         if kl_trace is not None:
             kl_trace.append(kl_new)
+    if not np.isfinite(y).all():
+        raise NumericError(f"the t-SNE embedding is not finite at "
+                           f"embedding.learning_rate {cfg.learning_rate:g}")
     return y - y.mean(axis=0)
 
 

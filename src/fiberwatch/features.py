@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import SAMPLE_RATE_HZ, ADC_FULL_SCALE
-from .config import schema_of, validate_config
+from .config import at_least, build_section, schema_of, validate_config
 from .errors import ConfigurationError
-from .framing import FrameShaperConfig, check_band
+from .framing import FrameShaperConfig
 
 # Log floor: 1e-10 of full-scale power keeps band energies finite on silence.
 POWER_FLOOR = 1e-10 * float(ADC_FULL_SCALE) ** 2
@@ -30,11 +30,17 @@ FEATURE_BUFFER_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class FeatureConfig:
+    """The ``features`` section."""
     subwindows: int = 16          # time slices per frame
     bank_bands: int = 60          # linear filter-bank bands
     band_lo_hz: float = 5.0
     band_hi_hz: float = 800.0
     clip: float = 8.0             # bound in standard units after normalization
+
+    def __post_init__(self):
+        at_least(self, subwindows=1, bank_bands=1)
+        if not self.clip > 0:
+            raise ConfigurationError(f"clip must be positive, got {self.clip}")
 
     @property
     def feature_dim(self) -> int:
@@ -46,39 +52,37 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Everything between a raw stream and the classifier input: framing,
-    the band-pass band, channel adaptation and features, clip included.
+    """Everything between a raw stream and the classifier input: the
+    ``framing`` and ``features`` sections, which check their own ranges,
+    and the conditions between them: the sub-windows divide the frame and
+    hold at least 8 samples each, and every filter-bank band holds a bin
+    of their spectrum.
 
     A trained model stores the pipeline it was trained with, so scoring
     cannot silently use a different one.
     """
     framing: FrameShaperConfig = FrameShaperConfig()
-    band: tuple[float, float] = (5.0, 800.0)
-    adapt_decay: float = 0.05
     features: FeatureConfig = FeatureConfig()
 
     def __post_init__(self):
-        # Messages name their section: this one class holds two of them.
-        if not 0.0 <= self.adapt_decay <= 1.0:
+        frame_size, ft = self.framing.frame_size, self.features
+        if frame_size % ft.subwindows:
+            raise ConfigurationError(f"features.subwindows: frame size {frame_size} not "
+                                     f"divisible by {ft.subwindows} subwindows")
+        sub_len = frame_size // ft.subwindows
+        if sub_len < 8:
             raise ConfigurationError(
-                f"framing.adapt_decay must lie in [0, 1], got {self.adapt_decay}")
-        check_band(self.band, "framing.band_lo_hz and band_hi_hz")
-        ft = self.features
-        if not ft.clip > 0:
-            raise ConfigurationError(f"features.clip must be positive, got {ft.clip}")
-        if ft.bank_bands < 1:
-            raise ConfigurationError(
-                f"features.bank_bands must be >= 1, got {ft.bank_bands}")
-        if ft.subwindows < 1 or self.framing.frame_size % ft.subwindows:
-            raise ConfigurationError(
-                f"features.subwindows: frame size {self.framing.frame_size} not "
-                f"divisible by {ft.subwindows} subwindows")
+                f"features.subwindows: {ft.subwindows} subwindows of a {frame_size}-"
+                f"sample frame hold {sub_len} samples each, fewer than 8")
+        try:
+            _spectral_tables(sub_len, ft)
+        except ConfigurationError as err:
+            raise ConfigurationError(f"features.bank_bands, band_lo_hz and band_hi_hz: "
+                                     f"{err} of {sub_len}-sample sub-windows") from err
 
     def to_dict(self) -> dict:
         """The ``framing`` and ``features`` sections of a configuration."""
-        return {"framing": {**asdict(self.framing), "band_lo_hz": self.band[0],
-                            "band_hi_hz": self.band[1], "adapt_decay": self.adapt_decay},
-                "features": asdict(self.features)}
+        return {"framing": asdict(self.framing), "features": asdict(self.features)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Pipeline":
@@ -91,13 +95,8 @@ class Pipeline:
             if have[section].keys() != keys.keys():
                 raise ConfigurationError(f"pipeline.{section}: expected the keys "
                                          f"{sorted(keys)}")
-        fr = doc["framing"]
-        try:
-            framing = FrameShaperConfig(fr["frame_size"], fr["overlap_factor"])
-        except ConfigurationError as err:
-            raise ConfigurationError(f"framing.{err}") from err
-        return cls(framing, (fr["band_lo_hz"], fr["band_hi_hz"]), fr["adapt_decay"],
-                   FeatureConfig(**doc["features"]))
+        return cls(build_section("framing", FrameShaperConfig, doc["framing"]),
+                   build_section("features", FeatureConfig, doc["features"]))
 
 
 @dataclass

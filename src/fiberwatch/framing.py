@@ -44,8 +44,12 @@ class IntensityStream:
 
 @dataclass(frozen=True)
 class FrameShaperConfig:
+    """The ``framing`` section: frame shape, band-pass band and adaptation."""
     frame_size: int = 2048   # ~1.23 s at 1666 Hz
     overlap_factor: int = 2
+    band_lo_hz: float = 5.0
+    band_hi_hz: float = 800.0
+    adapt_decay: float = 0.05  # weight of each frame in the running statistics
 
     def __post_init__(self):
         if self.frame_size <= 0:
@@ -54,10 +58,17 @@ class FrameShaperConfig:
             raise ConfigurationError("overlap_factor must be an integer in 1..8")
         if self.frame_size % self.overlap_factor != 0:
             raise ConfigurationError("frame_size must be divisible by overlap_factor")
+        check_band(self.band, "band_lo_hz and band_hi_hz")
+        if not 0.0 <= self.adapt_decay <= 1.0:
+            raise ConfigurationError(f"adapt_decay must lie in [0, 1], got {self.adapt_decay}")
 
     @property
     def step(self) -> int:
         return self.frame_size // self.overlap_factor
+
+    @property
+    def band(self) -> tuple[float, float]:
+        return self.band_lo_hz, self.band_hi_hz
 
 
 def frame_bounds(n: int, cfg: FrameShaperConfig) -> tuple[int, int]:
@@ -90,8 +101,8 @@ def check_band(band, name: str = "band") -> None:
             f"{name} must satisfy 0 < lo < hi < {NYQUIST_HZ:.0f} Hz, got {band}")
 
 
-def primary_filter(stream: IntensityStream, band=(5.0, 800.0)) -> IntensityStream:
-    """Zero-phase band-pass over every channel.
+def primary_filter(stream: IntensityStream, band) -> IntensityStream:
+    """Zero-phase band-pass over every channel to ``band``, (lo, hi) Hz.
 
     Forward-backward second-order sections keep the output aligned with the
     input, so frame boundaries stay consistent with ground-truth marks.
@@ -131,8 +142,7 @@ def running_stats(frames: np.ndarray, decay: float,
     with the averages after its own update.  A running standard deviation
     at or below DEAD_SD (a dead channel) is returned as 0: such a frame
     standardizes to zeros.  ``index`` picks entries of the (channels,
-    n_frames) grid for both results.  ``features.Pipeline`` checks that
-    ``decay`` lies in [0, 1].
+    n_frames) grid for both results; ``FrameShaperConfig`` range-checks ``decay``.
     """
     run_m = frames.mean(axis=2)
     run_v = frames.var(axis=2)

@@ -19,7 +19,7 @@ import numpy as np
 from . import CLASS_COUNT
 from .config import at_least
 from .errors import (ConfigurationError, DivergenceError, MissingDataError,
-                     NonFiniteGradientError)
+                     NonFiniteGradientError, NumericError)
 from .features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
                        fit_normalizer, standardize)
 from .framing import (FrameShaperConfig, frame_count, frame_matrix, primary_filter,
@@ -82,10 +82,15 @@ def cross_entropy_loss(scores: np.ndarray, targets: np.ndarray) -> float:
 
 
 def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
+    """Share of rows of ``x`` whose most probable class is ``y``;
+    NumericError when a score is not finite."""
     probs, _, _ = net.forward_batch(x)
+    if not np.isfinite(probs).all():
+        raise NumericError("scores are not all finite")
     return int(np.sum(np.argmax(probs, axis=1) == y)) / x.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_member(net: Network, train_set, test_set, cfg: TrainConfig, seed: int):
     """Mini-batch SGD; returns (best network, history).
 
@@ -93,7 +98,9 @@ def train_member(net: Network, train_set, test_set, cfg: TrainConfig, seed: int)
     (N, subwindows, feature_dim) and integer labels.  Deterministic for a
     fixed (cfg, seed, data): shuffling and dropout come from one rng seeded
     by ``seed``.
-    A non-finite loss aborts with the last good parameters attached.
+    A non-finite loss, gradient or test score aborts with the last good
+    parameters attached; the passes run with numpy's overflow and invalid
+    warnings off, since each such result ends in that error.
     """
     x_train, y_train = train_set
     x_test, y_test = test_set
@@ -130,7 +137,11 @@ def train_member(net: Network, train_set, test_set, cfg: TrainConfig, seed: int)
             except NonFiniteGradientError as err:
                 raise DivergenceError(f"gradient diverged at epoch {epoch}: {err}",
                                       last_good=best, history=history) from err
-        acc = evaluate_accuracy(net, x_test, y_test)
+        try:
+            acc = evaluate_accuracy(net, x_test, y_test)
+        except NumericError as err:
+            raise DivergenceError(f"test {err} at epoch {epoch}",
+                                  last_good=best, history=history) from err
         history.records.append(EpochRecord(epoch, float(np.mean(losses)), acc,
                                            time.perf_counter() - tic))
         if acc > best_acc:
@@ -216,11 +227,10 @@ def write_relabel_report(changes, path) -> None:
 # Feature assembly from streams and saved datasets
 
 def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
-                    adapt_decay: float = 0.05, band=(5.0, 800.0),
                     cells=None) -> tuple[np.ndarray, list]:
     """Filter, frame, adapt, and featurize a stream.
 
-    The arguments are the parts of one ``Pipeline``, which checks them.
+    ``fr_cfg`` and ``ft_cfg`` are the two sections of one ``Pipeline``, which checks them.
     ``cells`` restricts output to the given (frame, channel) pairs; None
     produces every frame of every channel, channel by channel.  Returns
     (blob stack, cells).  A stream shorter than one frame raises
@@ -228,18 +238,18 @@ def stream_features(stream, fr_cfg: FrameShaperConfig, ft_cfg: FeatureConfig,
     featurized once, with every cell's adaptation applied to its
     statistics (see ``blobs_from_windows``).
     """
-    Pipeline(fr_cfg, band, adapt_decay, ft_cfg)
+    Pipeline(fr_cfg, ft_cfg)
     if frame_count(stream.sample_count, fr_cfg) == 0:
         raise MissingDataError(
             f"stream holds {stream.sample_count} samples per channel, "
             f"fewer than one frame of {fr_cfg.frame_size}")
-    filtered = primary_filter(stream, band)
+    filtered = primary_filter(stream, fr_cfg.band)
     frames = frame_matrix(filtered, fr_cfg)      # (C, N, K')
     n_ch, n_fr, _ = frames.shape
     if cells is None:
         cells = [(n, l) for l in range(n_ch) for n in range(n_fr)]
     sel = np.array([(l, n) for n, l in cells], dtype=np.int64).reshape(-1, 2)
-    mean, sd = running_stats(frames, adapt_decay, (sel[:, 0], sel[:, 1]))
+    mean, sd = running_stats(frames, fr_cfg.adapt_decay, (sel[:, 0], sel[:, 1]))
     sub_len = fr_cfg.frame_size // ft_cfg.subwindows
     # Offset of every cell's sub-windows in the flattened (channel-major) samples.
     starts = (sel[:, :1] * stream.sample_count + sel[:, 1:] * fr_cfg.step
@@ -256,7 +266,7 @@ def stream_scores(stream, model: EnsembleModel, fusion: str) -> np.ndarray:
     """Fused score grid (n_frames, channels, CLASS_COUNT) of a whole stream,
     through the model's pipeline and normalizer, by the ``fusion`` rule."""
     p = model.pipeline
-    blobs, _ = stream_features(stream, p.framing, p.features, p.adapt_decay, p.band)
+    blobs, _ = stream_features(stream, p.framing, p.features)
     fused = predict_fused(model, standardize(blobs, model.normalizer, p.features.clip),
                           fusion)
     # Cells run channel by channel, so the rows are (channel, frame) major.
@@ -285,7 +295,8 @@ def _read_manifest(dataset_dir, pipeline: Pipeline):
     where = root / "meta.json"
     try:
         meta = json.loads(where.read_bytes())
-        framing = FrameShaperConfig(meta["frame_size"], meta["overlap_factor"])
+        framing = replace(pipeline.framing, frame_size=meta["frame_size"],
+                          overlap_factor=meta["overlap_factor"])
         if framing != pipeline.framing:
             raise ConfigurationError(
                 f"the dataset has frames of {framing.frame_size} samples at overlap "
@@ -347,8 +358,8 @@ def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline(), keep=Non
         if stream.sample_count != sc["n_samples"]:
             raise ConfigurationError(f"{path}: holds {stream.sample_count} samples per "
                                      f"channel, meta.json says {sc['n_samples']}")
-        blobs[idxs], _ = stream_features(stream, p.framing, p.features, p.adapt_decay,
-                                         p.band, [entries[i][1:3] for i in idxs])
+        blobs[idxs], _ = stream_features(stream, p.framing, p.features,
+                                         [entries[i][1:3] for i in idxs])
     return (blobs, *_labels_splits(entries))
 
 

@@ -437,6 +437,77 @@ class TestBadConfigValues:
         assert code == EXIT_CONFIG
         assert one_config_error_line(capsys, "ensemble.threshold")
 
+    # Each command with inputs that do not exist: only a configuration
+    # checked first ends it with exit 2 instead of 3.
+    COMMANDS = {"gen": [], "train": ["--data", "ds"],
+                "eval": ["--data", "ds", "--predictions", "p.npy"],
+                "infer": ["--stream", "s.i16", "--channels", "2", "--model", "m.json"],
+                "analyze": ["--data", "ds"], "search": ["--data", "ds"],
+                "track": ["--scores", "s.npz"]}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"features": {"subwindows": 32}}, "features.bank_bands, band_lo_hz and "
+         "band_hi_hz: band [5.0, 18.2) Hz contains no spectrum bins of 64-sample"),
+        ({"framing": {"frame_size": 64}}, "features.subwindows: 16 subwindows of a "
+         "64-sample frame hold 4 samples each, fewer than 8"),
+        ({"features": {"band_lo_hz": 5.0, "band_hi_hz": 5.0}}, "features.bank_bands, "
+         "band_lo_hz and band_hi_hz: band [5.0, 5.0) Hz contains no spectrum bins"),
+    ], ids=["subwindows-32", "frame-64", "empty-bank-band"])
+    def test_preprocessing_checked_before_any_command_runs(self, tmp_path, capsys,
+                                                           monkeypatch, command, doc,
+                                                           fragment):
+        monkeypatch.chdir(tmp_path)
+        cfg = config_file(tmp_path, doc)
+        assert run(["--config", cfg, "--out", "out", command, *self.COMMANDS[command]]) \
+            == EXIT_CONFIG
+        assert one_config_error_line(capsys, f"configuration error: {fragment}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate, code, start", [
+        (0, EXIT_CONFIG, "configuration error: embedding.learning_rate must be positive, "
+         "got 0"),
+        (-5, EXIT_CONFIG, "configuration error: embedding.learning_rate must be "
+         "positive, got -5"),
+        (1e300, EXIT_NUMERIC, "numeric failure: the t-SNE embedding is not finite"),
+    ])
+    def test_analyze_learning_rate(self, tmp_path, capsys, dataset, rate, code, start):
+        cfg = config_file(tmp_path, {"embedding": {"learning_rate": rate}})
+        out = tmp_path / "analyze"
+        assert run(["--config", cfg, "--out", str(out), "analyze", "--data",
+                    str(dataset)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(start) and len(err.strip().splitlines()) == 1
+        assert out.exists() == (code == EXIT_NUMERIC)
+        assert not (out / "embedding.csv").exists()
+
+
+class TestDivergentTraining:
+    @pytest.fixture(scope="class")
+    def tiny_dataset(self, tmp_path_factory):
+        """28 frames, so that one batch of 64 holds the whole training split."""
+        root = tmp_path_factory.mktemp("tiny_dataset")
+        cfg = config_file(root, {"dataset": {"frames_per_class": 4,
+                                             "scenarios_per_class": 2, "channels": 2,
+                                             "split_ratio": 1}})
+        assert run(["--config", cfg, "--out", str(root / "ds"), "gen"]) == 0
+        return root / "ds"
+
+    @pytest.mark.parametrize("lr, message", [
+        # The test scores overflow float64.
+        (1e300, "numeric failure: test scores are not all finite at epoch 0"),
+        # The scores stay finite, but `infer` would refuse the float32 copies.
+        (1e40, "numeric failure: parameters exceed the range of float32"),
+    ])
+    def test_train_writes_no_member_that_infer_refuses(self, tmp_path, capsys,
+                                                       tiny_dataset, lr, message):
+        cfg = config_file(tmp_path, {"training": {"lr": lr, "epochs": 1}})
+        out = tmp_path / "model"
+        assert run(["--config", cfg, "--out", str(out), "train", "--data",
+                    str(tiny_dataset)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.strip() == message
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -532,7 +603,7 @@ class TestModelPipeline:
         assert one_config_error_line(capsys, "framing.adapt_decay")
 
     def test_train_with_other_frame_size_exits_2(self, tmp_path, capsys, dataset):
-        cfg = config_file(tmp_path, {"framing": {"frame_size": 1024}})
+        cfg = config_file(tmp_path, {"framing": {"frame_size": 4096}})
         code = run(["--config", cfg, "--out", str(tmp_path / "train"), "train",
                     "--data", str(dataset)])
         assert code == EXIT_CONFIG

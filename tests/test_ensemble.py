@@ -198,7 +198,7 @@ class TestEnsembleModel:
         assert np.array_equal(predict_fused(model, blobs, "max_confidence"), probs)
 
     def test_checkpoint_round_trip(self, tmp_path, rng):
-        pipeline = Pipeline(FrameShaperConfig(1024, 4), (8.0, 600.0), 0.1,
+        pipeline = Pipeline(FrameShaperConfig(1024, 4, 8.0, 600.0, 0.1),
                             FeatureConfig(subwindows=4, bank_bands=2, clip=3.0))
         normalizer = NormalizerStats(rng.normal(size=6), rng.uniform(0.5, 2.0, 6))
         model = EnsembleModel(tiny_members(seed=5), normalizer, pipeline)

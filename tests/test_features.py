@@ -267,33 +267,42 @@ class TestNormalizer:
             fit_normalizer([np.zeros((1, 64))[:0]])
 
 
-class TestPipeline:
-    @pytest.mark.parametrize("decay", [-3.0, -1e-9, 1.5, float("nan")])
-    def test_decay_outside_unit_interval_rejected(self, decay):
-        with pytest.raises(ConfigurationError, match="adapt_decay"):
-            Pipeline(adapt_decay=decay)
+class TestFeatureConfig:
+    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
+    def test_clip_must_be_positive(self, clip):
+        with pytest.raises(ConfigurationError, match="clip must be positive"):
+            FeatureConfig(clip=clip)
 
-    @pytest.mark.parametrize("subwindows", [0, 7, 3000])
+    @pytest.mark.parametrize("key", ["subwindows", "bank_bands"])
+    def test_counts_must_be_positive(self, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be >= 1, got 0$"):
+            FeatureConfig(**{key: 0})
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("subwindows", [7, 3000])
     def test_subwindows_must_divide_frame(self, subwindows):
         with pytest.raises(ConfigurationError, match=f"not divisible by {subwindows}"):
             Pipeline(features=FeatureConfig(subwindows=subwindows))
 
-    @pytest.mark.parametrize("clip", [0.0, -1.0, float("nan")])
-    def test_clip_must_be_positive(self, clip):
-        with pytest.raises(ConfigurationError, match="clip"):
-            Pipeline(features=FeatureConfig(clip=clip))
+    @pytest.mark.parametrize("frame_size, subwindows", [(64, 16), (2048, 512), (112, 16)])
+    def test_subwindows_must_hold_8_samples(self, frame_size, subwindows):
+        with pytest.raises(ConfigurationError,
+                           match=r"^features\.subwindows: .* fewer than 8$"):
+            Pipeline(FrameShaperConfig(frame_size), FeatureConfig(subwindows=subwindows))
 
-    def test_bank_bands_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="features.bank_bands must be >= 1"):
-            Pipeline(features=FeatureConfig(bank_bands=0))
-
-    @pytest.mark.parametrize("band", [(0.0, 800.0), (5.0, 833.0), (10.0, 5.0)])
-    def test_band_must_lie_inside_nyquist(self, band):
-        with pytest.raises(ConfigurationError, match="framing.band_lo_hz and band_hi_hz"):
-            Pipeline(band=band)
+    @pytest.mark.parametrize("features", [
+        FeatureConfig(subwindows=32),                           # 64 samples: 26 Hz bins
+        FeatureConfig(band_lo_hz=5.0, band_hi_hz=5.0),
+        FeatureConfig(band_lo_hz=900.0, band_hi_hz=1000.0),     # above Nyquist
+        FeatureConfig(bank_bands=200)])
+    def test_every_bank_band_must_hold_a_bin(self, features):
+        with pytest.raises(ConfigurationError,
+                           match=r"^features\.bank_bands, .* contains no spectrum bins"):
+            Pipeline(features=features)
 
     def test_dict_round_trip_uses_config_sections(self):
-        p = Pipeline(FrameShaperConfig(1024, 4), (10.0, 700.0), 0.2,
+        p = Pipeline(FrameShaperConfig(1024, 4, 10.0, 700.0, 0.2),
                      FeatureConfig(subwindows=8, clip=3.0))
         doc = p.to_dict()
         assert doc["framing"] == {"frame_size": 1024, "overlap_factor": 4,
@@ -302,6 +311,15 @@ class TestPipeline:
         assert doc["features"]["subwindows"] == 8 and doc["features"]["clip"] == 3.0
         assert Pipeline.from_dict({**doc, "seed": 3}) == p
         assert Pipeline.from_dict(Pipeline().to_dict()) == Pipeline()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("framing", "frame_size", 0), ("framing", "adapt_decay", 2.0),
+        ("features", "clip", 0.0)])
+    def test_from_dict_names_the_section_of_a_range_error(self, section, key, value):
+        doc = Pipeline().to_dict()
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=f"^{section}\\.{key} "):
+            Pipeline.from_dict(doc)
 
     @pytest.mark.parametrize("section, key, value", [
         ("framing", "frame_size", 2048.0),

@@ -40,7 +40,9 @@ class TestFrameShaper:
     @pytest.mark.parametrize("overlap", list(range(1, 9)))
     def test_bounds_match_closed_form(self, frame_size, overlap):
         if frame_size % overlap:
-            pytest.skip("frame_size not divisible")
+            with pytest.raises(ConfigurationError, match="divisible by overlap_factor"):
+                FrameShaperConfig(frame_size, overlap)
+            return
         cfg = FrameShaperConfig(frame_size, overlap)
         for n in range(50):
             k_b, k_e = frame_bounds(n, cfg)
@@ -78,6 +80,16 @@ class TestFrameShaper:
         with pytest.raises(ConfigurationError):
             FrameShaperConfig(1000, 3)
 
+    @pytest.mark.parametrize("decay", [-3.0, -1e-9, 1.5, float("nan")])
+    def test_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ConfigurationError, match="adapt_decay must lie in"):
+            FrameShaperConfig(adapt_decay=decay)
+
+    @pytest.mark.parametrize("band", [(0.0, 800.0), (5.0, 833.0), (10.0, 5.0)])
+    def test_band_must_lie_inside_nyquist(self, band):
+        with pytest.raises(ConfigurationError, match="band_lo_hz and band_hi_hz"):
+            FrameShaperConfig(band_lo_hz=band[0], band_hi_hz=band[1])
+
 
 class TestPrimaryFilter:
     def test_in_band_tone_preserved(self):
@@ -103,8 +115,9 @@ class TestPrimaryFilter:
         x = IntensityStream(rng.normal(size=(2, 4000)))
         y = IntensityStream(rng.normal(size=(2, 4000)))
         a, b = 2.5, -1.25
-        combined = primary_filter(IntensityStream(a * x.samples + b * y.samples))
-        separate = a * primary_filter(x).samples + b * primary_filter(y).samples
+        band = FrameShaperConfig().band
+        combined = primary_filter(IntensityStream(a * x.samples + b * y.samples), band)
+        separate = a * primary_filter(x, band).samples + b * primary_filter(y, band).samples
         scale = np.abs(separate).max()
         assert np.max(np.abs(combined.samples - separate)) < 1e-9 * scale
 

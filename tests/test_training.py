@@ -180,7 +180,7 @@ class TestLoadDataset:
 
     def test_other_framing_rejected(self, dataset):
         with pytest.raises(ConfigurationError, match="frames of 2048 samples"):
-            dataset_labels(dataset, Pipeline(FrameShaperConfig(1024, 2)))
+            dataset_labels(dataset, Pipeline(FrameShaperConfig(4096, 2)))
 
 
 class TestStreamPipeline:
@@ -215,10 +215,10 @@ class TestStreamPipeline:
         stream.samples[1] = 0.0
         stream.samples[2, :stream.sample_count // 2] = 0.0
         fr_cfg, ft_cfg = FrameShaperConfig(frame_size, overlap), FeatureConfig()
-        got, cells = stream_features(stream, fr_cfg, ft_cfg, 0.05, (5.0, 800.0), cells)
-        frames = frame_matrix(primary_filter(stream, (5.0, 800.0)), fr_cfg)
+        got, cells = stream_features(stream, fr_cfg, ft_cfg, cells)
+        frames = frame_matrix(primary_filter(stream, fr_cfg.band), fr_cfg)
         chans, frame_idx = [l for _, l in cells], [n for n, _ in cells]
-        normed = adapt_frames(frames, 0.05, (chans, frame_idx))
+        normed = adapt_frames(frames, fr_cfg.adapt_decay, (chans, frame_idx))
         want = np.stack([blobs_from_windows(f.reshape(ft_cfg.subwindows, -1), ft_cfg)
                          for f in normed])
         assert got.shape == want.shape
