@@ -105,75 +105,59 @@ class NormalizerStats:
     std: np.ndarray               # (feature_dim,) floored at STD_FLOOR
 
 
-def _band_matrix(n_fft: int, cfg: FeatureConfig) -> np.ndarray:
-    """(bins, bands) indicator of each band's bins, carrying the one-sided
-    periodogram scale, so ``|rfft|^2 @ bank`` gives band powers.
-
-    Bands are contiguous [lo, hi) intervals of ``cfg.band_edges()``.  The
-    scale divides by the window's energy and doubles the interior bins, so
-    the bins' total equals the windowed mean square (Parseval).
-    """
-    ham = np.hamming(n_fft)
-    freqs = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE_HZ / n_fft)
-    edges = cfg.band_edges()
-    bank = np.zeros((freqs.size, cfg.bank_bands))
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        idx = np.nonzero((freqs >= lo) & (freqs < hi))[0]
-        if idx.size == 0:
-            raise ConfigurationError(
-                f"band [{lo:.1f}, {hi:.1f}) Hz contains no spectrum bins")
-        bank[idx[0]:idx[-1] + 1, j] = 1.0
-    bank[1:-1] *= 2.0
-    return bank / np.sum(ham * ham)
-
-
 @lru_cache(maxsize=16)
 def _spectral_tables(sub_len: int, cfg: FeatureConfig) -> tuple:
     """Fixed tables for sub-windows of ``sub_len`` samples, built once per
     (sub_len, cfg) and process, and read-only: the FFT length, the
-    truncated Hamming window, the band matrix as (bins, weights) of shape
-    (most bins in a band, bands): row q holds each band's q-th bin and its
-    weight, padded with bin 0 at weight 0, twice the window's spectrum H,
-    and |H|^2 @ bank."""
+    truncated Hamming window, the band bounds, the per-bin scale, twice the
+    window's spectrum H, and the band sums of |H|^2.  Band j is the bins
+    ``bounds[j]:bounds[j + 1]``, those in its [lo, hi) of ``band_edges()``.
+    ``scale`` is the one-sided periodogram scale of bins ``bounds[0]`` to
+    ``bounds[-1] - 1``: 2/E, or 1/E at bin 0 and the Nyquist bin, E being
+    the full window's energy, so the bins sum to the windowed mean square."""
     n_fft = 1 << (sub_len - 1).bit_length()
-    ham = np.hamming(n_fft)[:sub_len]
-    bank = _band_matrix(n_fft, cfg)
-    members = [np.nonzero(col)[0] for col in bank.T]
-    bins = np.zeros((max(map(len, members)), len(members)), dtype=np.intp)
-    weights = np.zeros(bins.shape)
-    for j, idx in enumerate(members):
-        bins[:idx.size, j] = idx
-        weights[:idx.size, j] = bank[idx, j]
+    ham = np.hamming(n_fft)
+    freqs = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE_HZ / n_fft)
+    edges = cfg.band_edges()
+    bounds = np.searchsorted(freqs, edges)
+    # reduceat gives one bin, not 0, for bounds that do not increase.
+    empty = np.flatnonzero(np.diff(bounds) <= 0)
+    if empty.size:
+        lo, hi = edges[empty[0]:empty[0] + 2]
+        raise ConfigurationError(f"band [{lo:.1f}, {hi:.1f}) Hz contains no spectrum bins")
+    bins = np.arange(bounds[0], bounds[-1])
+    scale = np.where(bins % (n_fft // 2), 2.0, 1.0) / np.sum(ham * ham)
+    ham = ham[:sub_len]
     h = np.fft.rfft(ham, n=n_fft)
-    window_power = np.empty(bank.shape[1])
-    _band_sums((h.real * h.real + h.imag * h.imag)[None], bins, weights, window_power[None])
+    window_power = np.empty(cfg.bank_bands)
+    _band_sums((h.real * h.real + h.imag * h.imag)[None], bounds, scale, window_power[None])
     h *= 2.0
-    for table in (ham, bins, weights, h, window_power):
+    for table in (ham, bounds, scale, h, window_power):
         table.setflags(write=False)
-    return n_fft, ham, bins, weights, h, window_power
+    return n_fft, ham, bounds, scale, h, window_power
 
 
-def _band_sums(per_bin: np.ndarray, bins: np.ndarray, weights: np.ndarray,
+def _band_sums(per_bin: np.ndarray, bounds: np.ndarray, scale: np.ndarray,
                out: np.ndarray) -> None:
-    """``per_bin`` (n, bins) @ bank into ``out`` (n, bands), adding each
-    band's bins in a fixed order, so a row does not depend on the other rows
-    of the call, as a matrix product's blocking can make it."""
-    np.multiply(per_bin[:, bins[0]], weights[0], out=out)
-    for b, wt in zip(bins[1:], weights[1:]):
-        out += per_bin[:, b] * wt
+    """Scaled sums of ``per_bin`` (n, bins) over each band's bins into
+    ``out`` (n, bands).  Each row is reduced on its own, so it does not
+    depend on the other rows of the call, as a matrix product's blocking
+    can make it."""
+    np.add.reduceat(per_bin[:, bounds[0]:bounds[-1]] * scale, bounds[:-1] - bounds[0],
+                    axis=1, out=out)
 
 
 def _subwindow_stats(w: np.ndarray, tables: tuple, power: np.ndarray,
                      cross: np.ndarray, st: np.ndarray) -> None:
     """Statistics of the sub-windows ``w`` (n, sub_len), written to
-    ``power`` and ``cross`` (n, bands): |X|^2 @ bank and 2 Re(X conj H) @
-    bank, and to ``st`` (7, n): first sample, mean after subtracting it,
-    m2, excess kurtosis, skewness, max and min.  X is the spectrum of the
+    ``power`` and ``cross`` (n, bands): band sums of |X|^2 and 2 Re(X conj H),
+    and to ``st`` (7, n): first sample, mean after subtracting it, m2,
+    excess kurtosis, skewness, max and min.  X is the spectrum of the
     centered Hamming windowed sub-window, H that of the window; moments and
     extremes are of the centered samples.  Shifting by the first sample,
     then centering, keeps a stream offset out of the spectrum and the
     moments.  A constant sub-window gets 0 kurtosis and skewness."""
-    n_fft, ham, bins, weights, h2, _ = tables
+    n_fft, ham, bounds, scale, h2, _ = tables
     st[0] = w[:, 0]
     c = w - st[0][:, None]
     st[1] = c.mean(axis=1)
@@ -181,10 +165,10 @@ def _subwindow_stats(w: np.ndarray, tables: tuple, power: np.ndarray,
     spec = np.fft.rfft(c * ham, n=n_fft, axis=1)
     per_bin = spec.real * spec.real
     per_bin += spec.imag * spec.imag
-    _band_sums(per_bin, bins, weights, power)
+    _band_sums(per_bin, bounds, scale, power)
     np.multiply(spec.real, h2.real, out=per_bin)
     per_bin += spec.imag * h2.imag
-    _band_sums(per_bin, bins, weights, cross)
+    _band_sums(per_bin, bounds, scale, cross)
     c.max(axis=1, out=st[5])
     c.min(axis=1, out=st[6])
     # Kurtosis and skewness are scale-free; taking the moments of the
@@ -224,8 +208,8 @@ def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig, pick=None,
     standardization is applied to its statistics, which is exact, since it
     is an affine map.  With X the spectrum of the centered sub-window, H
     that of the window and delta its mean minus ``mean``, a band power is
-    (|X|^2 + 2 delta Re(X conj H) + delta^2 |H|^2) @ bank / sd^2; central
-    moments scale by powers of ``sd``, and the extremes shift by delta.
+    the band sum of |X|^2 + 2 delta Re(X conj H) + delta^2 |H|^2 over sd^2;
+    central moments scale by powers of ``sd``, and the extremes shift by delta.
     """
     w = np.asarray(windows, dtype=np.float64)
     sub_len = w.shape[-1]

@@ -268,7 +268,7 @@ class DatasetConfig:
 
 
 def generate_dataset(cfg: DatasetConfig, seed: int,
-                     framing: FrameShaperConfig = FrameShaperConfig()) -> DatasetManifest:
+                     framing: FrameShaperConfig) -> DatasetManifest:
     """Labeled-frame manifest of every class from the default profiles, with
     uniform class shares and a scenario-disjoint split.
 

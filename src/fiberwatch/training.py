@@ -330,13 +330,13 @@ def _labels_splits(entries):
             np.array([e[4] for e in entries], dtype=object))
 
 
-def dataset_labels(dataset_dir, pipeline: Pipeline = Pipeline()):
+def dataset_labels(dataset_dir, pipeline: Pipeline):
     """(labels, splits) of every manifest entry of a saved dataset, without
     featurizing anything."""
     return _labels_splits(_read_manifest(dataset_dir, pipeline)[1])
 
 
-def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline(), keep=None):
+def load_dataset_features(dataset_dir, pipeline: Pipeline, keep=None):
     """Blobs, labels and splits of a saved dataset's manifest entries: every
     entry, or those where the boolean mask ``keep`` is set.
 
@@ -363,7 +363,7 @@ def load_dataset_features(dataset_dir, pipeline: Pipeline = Pipeline(), keep=Non
     return (blobs, *_labels_splits(entries))
 
 
-def standardized_sets(blobs, labels, splits, clip: float = FeatureConfig.clip):
+def standardized_sets(blobs, labels, splits, clip: float):
     """Fit the normalizer on the training split and standardize both splits."""
     train_mask = splits == "train"
     if train_mask.all() or not train_mask.any():

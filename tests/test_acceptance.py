@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fiberwatch import cli, embedding, ensemble, framing, metrics, siggen
+from fiberwatch import cli, embedding, ensemble, features, framing, metrics, siggen
 from fiberwatch import tensornet, tracker, training
 from fiberwatch.archsearch import DEConfig, de_optimize
 from fiberwatch.tensornet import (ConvSpec, DenseSpec, DropoutSpec, Network,
@@ -43,11 +43,12 @@ def trained_pipeline(tmp_path_factory):
     loaded as the CLI does, and the three members trained on it."""
     manifest = siggen.generate_dataset(
         siggen.DatasetConfig(frames_per_class=2400, scenarios_per_class=8, channels=4,
-                             split_ratio=7), seed=20)
+                             split_ratio=7), seed=20, framing=framing.FrameShaperConfig())
     root = siggen.save_dataset(manifest, tmp_path_factory.mktemp("criterion6") / "ds")
-    blobs, labels, splits = training.load_dataset_features(root)
+    pipeline = features.Pipeline()
+    blobs, labels, splits = training.load_dataset_features(root, pipeline)
     (x_tr, y_tr), (x_te, y_te), stats = training.standardized_sets(
-        blobs, labels, splits)
+        blobs, labels, splits, pipeline.features.clip)
 
     def per_class_slice(x, y, cap):
         keep = []

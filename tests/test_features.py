@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fiberwatch import SAMPLE_RATE_HZ
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.features import (POWER_FLOOR, STD_FLOOR, FeatureConfig, NormalizerStats,
-                                 Pipeline, _band_matrix, blobs_from_windows,
+                                 Pipeline, _spectral_tables, blobs_from_windows,
                                  fit_normalizer, standardize)
 from fiberwatch.framing import FrameShaperConfig, IntensityStream, frame_matrix, running_stats
 from frame_oracle import adapt_frames
@@ -62,7 +64,8 @@ class TestPowerSpectrum:
         # band's mean power per bin should be the same.
         cfg = FeatureConfig()
         rows = blobs_from_windows(rng.standard_normal((10_000, 128)), cfg)
-        per_bin = np.exp(rows[:, :NB]).mean(axis=0) / (_band_matrix(128, cfg) > 0).sum(axis=0)
+        bounds = _spectral_tables(128, cfg)[2]
+        per_bin = np.exp(rows[:, :NB]).mean(axis=0) / np.diff(bounds)
         mid = per_bin[2:-2]
         db_spread = 10 * np.log10(mid.max() / mid.min())
         assert db_spread < 1.0
@@ -104,11 +107,14 @@ class TestFilterBank:
         assert np.allclose(row[:NB], np.log(POWER_FLOOR))
 
     def test_each_bin_in_at_most_one_contiguous_band(self):
-        bank = _band_matrix(256, FeatureConfig(bank_bands=10))
-        assert np.all((bank > 0).sum(axis=1) <= 1)
-        for j in range(bank.shape[1]):
-            idx = np.nonzero(bank[:, j])[0]
-            assert idx.size > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+        cfg = FeatureConfig(bank_bands=10)
+        bounds = _spectral_tables(256, cfg)[2]
+        freqs = np.arange(129) * (SAMPLE_RATE_HZ / 256)
+        edges = cfg.band_edges()
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            want = np.flatnonzero((freqs >= lo) & (freqs < hi))
+            assert want.size > 0
+            assert np.array_equal(np.arange(bounds[j], bounds[j + 1]), want)
 
     def test_doubling_adds_log2(self, rng):
         cfg = FeatureConfig(bank_bands=12)
@@ -124,6 +130,17 @@ class TestFilterBank:
         # 8-sample sub-windows have 208 Hz bins, wider than a 13 Hz band.
         with pytest.raises(ConfigurationError):
             blobs_from_windows(np.zeros((1, 8)), FeatureConfig())
+
+    @pytest.mark.parametrize("sub_len", [128, 120])
+    def test_dc_and_nyquist_bins_take_half_weight(self, sub_len):
+        # Bands from below 0 Hz to above Nyquist hold bin 0 and the Nyquist
+        # bin.  A constant and an alternating sub-window have no centered
+        # spectrum or no offset, so no two terms of a band power cancel.
+        cfg = FeatureConfig(band_lo_hz=-10.0, band_hi_hz=834.0)
+        x = np.stack([np.full(sub_len, 3.0), 50.0 * (-1.0) ** np.arange(sub_len)])
+        got = blobs_from_windows(x, cfg)[:, :cfg.bank_bands]
+        want = [filter_bank_energies(w, cfg.band_edges()) for w in x]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_band_powers_conserve_total(self, rng):
         # Parseval: bands tiling [0, Nyquist) sum to the windowed mean square
@@ -157,11 +174,12 @@ class TestFeatureBlob:
 
 
 class TestBatchMatchesScalarDefinitions:
+    @pytest.mark.parametrize("cfg", [FeatureConfig(), FeatureConfig(bank_bands=12)],
+                             ids=["60-bands", "12-bands"])
     @pytest.mark.parametrize("sub_len", [128, 120])
-    def test_rows_equal_scalar_features(self, rng, sub_len):
+    def test_rows_equal_scalar_features(self, rng, sub_len, cfg):
         # Log energies compare absolutely: an error of 1e-12 in a log is a
         # relative error of 1e-12 in the band power.
-        cfg = FeatureConfig()
         windows = rng.normal(0, 30, (5, 3, sub_len)) * rng.uniform(0.01, 100, (5, 3, 1))
         windows[2, 1] = 0.0
         got = blobs_from_windows(windows, cfg)
@@ -295,11 +313,23 @@ class TestPipeline:
         FeatureConfig(subwindows=32),                           # 64 samples: 26 Hz bins
         FeatureConfig(band_lo_hz=5.0, band_hi_hz=5.0),
         FeatureConfig(band_lo_hz=900.0, band_hi_hz=1000.0),     # above Nyquist
-        FeatureConfig(bank_bands=200)])
+        FeatureConfig(bank_bands=200),
+        FeatureConfig(band_lo_hz=800.0, band_hi_hz=5.0)])       # reversed
     def test_every_bank_band_must_hold_a_bin(self, features):
         with pytest.raises(ConfigurationError,
                            match=r"^features\.bank_bands, .* contains no spectrum bins"):
             Pipeline(features=features)
+
+    def test_large_frame_builds_no_bins_by_bands_table(self):
+        # A (bins x bands) table at 131,073 bins and 60 bands alone takes 63 MB.
+        _spectral_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            Pipeline(FrameShaperConfig(frame_size=2**18), FeatureConfig(subwindows=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_dict_round_trip_uses_config_sections(self):
         p = Pipeline(FrameShaperConfig(1024, 4, 10.0, 700.0, 0.2),

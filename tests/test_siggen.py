@@ -160,38 +160,39 @@ class TestRenderScenario:
 
 class TestGenerateDataset:
     def test_uniform_class_shares(self):
-        manifest = generate_dataset(DatasetConfig(frames_per_class=100), 1)
+        manifest = generate_dataset(DatasetConfig(frames_per_class=100), 1, FrameShaperConfig())
         counts = manifest.class_counts()
         assert sum(counts.values()) == 700
         assert all(counts[c] == 100 for c in range(7))
 
     def test_split_disjoint_by_scenario(self):
-        manifest = generate_dataset(DatasetConfig(frames_per_class=64), 2)
+        manifest = generate_dataset(DatasetConfig(frames_per_class=64), 2, FrameShaperConfig())
         train_sids = {e.scenario_id for e in manifest.entries if e.split == "train"}
         test_sids = {e.scenario_id for e in manifest.entries if e.split == "test"}
         assert train_sids and test_sids
         assert not (train_sids & test_sids)
 
     def test_default_ratio_near_7_to_1(self):
-        manifest = generate_dataset(DatasetConfig(frames_per_class=160), 3)
+        manifest = generate_dataset(DatasetConfig(frames_per_class=160), 3, FrameShaperConfig())
         n_train = sum(1 for e in manifest.entries if e.split == "train")
         n_test = sum(1 for e in manifest.entries if e.split == "test")
         assert n_train / n_test == pytest.approx(7.0, rel=0.05)
 
     def test_same_seed_identical_manifest(self):
-        a = generate_dataset(DatasetConfig(frames_per_class=40), 4)
-        b = generate_dataset(DatasetConfig(frames_per_class=40), 4)
+        a = generate_dataset(DatasetConfig(frames_per_class=40), 4, FrameShaperConfig())
+        b = generate_dataset(DatasetConfig(frames_per_class=40), 4, FrameShaperConfig())
         assert a.entries == b.entries
         assert a.scenarios == b.scenarios
 
     def test_no_duplicate_cells(self):
-        manifest = generate_dataset(DatasetConfig(frames_per_class=80), 5)
+        manifest = generate_dataset(DatasetConfig(frames_per_class=80), 5, FrameShaperConfig())
         cells = [(e.scenario_id, e.frame_index, e.channel) for e in manifest.entries]
         assert len(cells) == len(set(cells))
 
     def test_save_and_reload_stream(self, tmp_path):
         manifest = generate_dataset(DatasetConfig(frames_per_class=16, scenarios_per_class=2,
-                                                  channels=2, split_ratio=1), 6)
+                                                  channels=2, split_ratio=1), 6,
+                                    FrameShaperConfig())
         out = save_dataset(manifest, tmp_path / "ds")
         assert (out / "meta.json").exists()
         assert (out / "manifest.jsonl").exists()

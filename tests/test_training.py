@@ -159,21 +159,22 @@ class TestLoadDataset:
     @pytest.fixture(scope="class")
     def dataset(self, tmp_path_factory):
         manifest = generate_dataset(DatasetConfig(frames_per_class=8, scenarios_per_class=2,
-                                                  channels=2, split_ratio=1), 4)
+                                                  channels=2, split_ratio=1), 4,
+                                    FrameShaperConfig())
         return save_dataset(manifest, tmp_path_factory.mktemp("load") / "ds")
 
     def test_labels_match_the_loaded_features(self, dataset):
-        blobs, labels, splits = load_dataset_features(dataset)
-        got_labels, got_splits = dataset_labels(dataset)
+        blobs, labels, splits = load_dataset_features(dataset, Pipeline())
+        got_labels, got_splits = dataset_labels(dataset, Pipeline())
         assert blobs.shape == (56, 16, 64)
         assert np.array_equal(got_labels, labels) and np.array_equal(got_splits, splits)
         assert set(splits) == {"train", "test"}
 
     def test_kept_entries_equal_their_full_rows(self, dataset):
-        full, labels, splits = load_dataset_features(dataset)
+        full, labels, splits = load_dataset_features(dataset, Pipeline())
         keep = splits == "test"
         keep[3] = True
-        part, part_labels, part_splits = load_dataset_features(dataset, keep=keep)
+        part, part_labels, part_splits = load_dataset_features(dataset, Pipeline(), keep)
         assert np.array_equal(part, full[keep])
         assert np.array_equal(part_labels, labels[keep])
         assert list(part_splits) == list(splits[keep])
@@ -194,12 +195,13 @@ class TestStreamPipeline:
         assert cells == [(n, l) for l in range(3) for n in range(n_frames)]
         assert blobs.shape == (len(cells), 16, 64)
 
-    def test_selected_cells_equal_full_rows(self, rng):
+    @pytest.mark.parametrize("ft_cfg", [FeatureConfig(), FeatureConfig(bank_bands=12)],
+                             ids=["60-bands", "12-bands"])
+    def test_selected_cells_equal_full_rows(self, rng, ft_cfg):
         stream = self.stream(rng)
-        full, cells = stream_features(stream, FrameShaperConfig(), FeatureConfig())
+        full, cells = stream_features(stream, FrameShaperConfig(), ft_cfg)
         pick = [cells[4], cells[0], cells[-1]]
-        part, _ = stream_features(stream, FrameShaperConfig(), FeatureConfig(),
-                                  cells=pick)
+        part, _ = stream_features(stream, FrameShaperConfig(), ft_cfg, cells=pick)
         assert np.array_equal(part, full[[4, 0, len(cells) - 1]])
 
     @pytest.mark.parametrize("frame_size, overlap, cells", [
