@@ -77,7 +77,10 @@ def pca(data: np.ndarray, n_components: int) -> PcaResult:
 
 def _sq_dists(x: np.ndarray) -> np.ndarray:
     sq = np.sum(x ** 2, axis=1)
-    d = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d = np.add.outer(sq, sq)
+    g = x @ x.T
+    g *= 2.0
+    d -= g
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return d
@@ -138,21 +141,37 @@ def joint_affinities(p_cond: np.ndarray) -> np.ndarray:
 
 
 def _q_matrix(y: np.ndarray):
-    num = 1.0 / (1.0 + _sq_dists(y))
+    num = _sq_dists(y)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
     total = num.sum()
     return num / total, num
 
 
-def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
-    q, _ = _q_matrix(y)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-12))))
+def kl_divergence(p_m: np.ndarray, mask: np.ndarray, y: np.ndarray):
+    """KL(P || Q) of the embedding ``y``, and the ``(q, num)`` pair of
+    ``_q_matrix(y)`` it was scored with, for the gradient at ``y`` to reuse.
 
-
-def _tsne_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    The sum runs over the pairs where ``mask`` (P > 0) holds, and ``p_m`` is
+    ``p[mask]``; a q below 1e-12 counts as 1e-12.
+    """
     q, num = _q_matrix(y)
-    w = (p - q) * num
+    r = q[mask]
+    np.maximum(r, 1e-12, out=r)
+    np.divide(p_m, r, out=r)
+    np.log(r, out=r)
+    r *= p_m
+    return float(r.sum()), (q, num)
+
+
+def _tsne_gradient(p: np.ndarray, y: np.ndarray, q: np.ndarray,
+                   num: np.ndarray) -> np.ndarray:
+    """dKL/dy = 4 sum_j (p_ij - q_ij) num_ij (y_i - y_j), with ``(q, num)``
+    the pair ``_q_matrix(y)`` returns and ``p`` the (possibly exaggerated)
+    joint affinities."""
+    w = p - q
+    w *= num
     # (diag(row sums) - w) @ y, without the N x N diagonal matrix
     return 4.0 * (w.sum(axis=1)[:, None] * y - w @ y)
 
@@ -166,6 +185,8 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
     post-exaggeration step is appended to it.  A descent whose embedding
     leaves the finite numbers (a learning rate too large) stops there with
     NumericError; it runs with numpy's overflow and invalid warnings off.
+    Q is built once per embedding: the KL evaluation of an accepted
+    candidate hands its Q to the next step's gradient.
     """
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
@@ -173,13 +194,14 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
         raise ConfigurationError("sample count must be at least 3x perplexity")
     rng = np.random.default_rng([seed, 0x75E3])
     dists = _sq_dists(x)
-    off_diag = dists + np.diag(np.full(n, np.inf))
-    if np.any(off_diag == 0.0):
+    if np.count_nonzero(dists == 0.0) > n:       # a zero besides the diagonal's n
         warnings.warn("duplicate points: adding seeded jitter", stacklevel=2)
         x = x + rng.normal(0.0, 1e-8 * (1.0 + x.std()), x.shape)
         dists = _sq_dists(x)
-    p_cond, _ = conditional_affinities(dists, cfg.perplexity)
-    p = joint_affinities(p_cond)
+    p = joint_affinities(conditional_affinities(dists, cfg.perplexity)[0])
+    mask = p > 0
+    p_m = p[mask]
+    p_exag = p * cfg.exaggeration
 
     y = rng.normal(0.0, 1e-4, (n, cfg.dims))
     vel = np.zeros_like(y)
@@ -187,20 +209,19 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
     for it in range(cfg.iterations):
         if not np.isfinite(y).all():
             break
-        exag = it < cfg.exaggeration_iters
-        p_eff = p * cfg.exaggeration if exag else p
         momentum = cfg.momentum_early if it < cfg.momentum_switch else cfg.momentum_late
-        grad = _tsne_gradient(p_eff, y)
-        if exag:
+        if it < cfg.exaggeration_iters:
+            grad = _tsne_gradient(p_exag, y, *_q_matrix(y))
             vel = momentum * vel - cfg.learning_rate * grad
             y = y + vel
             continue
         if kl_prev is None:
-            kl_prev = kl_divergence(p, y)
+            kl_prev, qn = kl_divergence(p_m, mask, y)
+        grad = _tsne_gradient(p, y, *qn)
         raw = momentum * vel - cfg.learning_rate * grad
         scale = 1.0
         for attempt in range(40):
-            kl_new = kl_divergence(p, y + scale * raw)
+            kl_new, cand = kl_divergence(p_m, mask, y + scale * raw)
             if kl_new <= kl_prev + 1e-12:
                 break
             if attempt == 19:
@@ -212,8 +233,10 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
         else:
             kl_new = kl_prev
             scale = 0.0
+            cand = qn           # y + 0 * raw is y
         vel = scale * raw
         y = y + vel
+        qn = cand
         kl_prev = kl_new
         if kl_trace is not None:
             kl_trace.append(kl_new)

@@ -86,19 +86,27 @@ def frame_count(n_samples: int, cfg: FrameShaperConfig) -> int:
 @lru_cache(maxsize=16)
 def _bandpass_sos(f_lo: float, f_hi: float) -> np.ndarray:
     """The 4th-order Butterworth band-pass design, built once per band and
-    process; read-only, so callers filter with a copy."""
+    process; read-only, so callers filter with a copy.  Raises
+    ``np.linalg.LinAlgError`` where ``sosfiltfilt`` would: an edge so near
+    0 Hz that a pole sits at z = 1 makes the initial-state system singular."""
     sos = signal.butter(4, [f_lo, f_hi], btype="bandpass",
                         fs=SAMPLE_RATE_HZ, output="sos")
+    signal.sosfilt_zi(sos)
     sos.setflags(write=False)
     return sos
 
 
 def check_band(band, name: str = "band") -> None:
-    """Reject a band-pass band (lo, hi) Hz unless 0 < lo < hi < NYQUIST_HZ:
-    the digital design needs both edges strictly inside (0, Nyquist)."""
+    """Reject a band-pass band (lo, hi) Hz unless 0 < lo < hi < NYQUIST_HZ
+    (the digital design needs both edges strictly inside (0, Nyquist)) and
+    its filter is regular."""
     if not 0.0 < band[0] < band[1] < NYQUIST_HZ:
         raise ConfigurationError(
             f"{name} must satisfy 0 < lo < hi < {NYQUIST_HZ:.0f} Hz, got {band}")
+    try:
+        _bandpass_sos(float(band[0]), float(band[1]))
+    except np.linalg.LinAlgError as err:
+        raise ConfigurationError(f"{name} {band} gives a singular filter ({err})") from err
 
 
 def primary_filter(stream: IntensityStream, band) -> IntensityStream:
@@ -108,14 +116,9 @@ def primary_filter(stream: IntensityStream, band) -> IntensityStream:
     input, so frame boundaries stay consistent with ground-truth marks.
     """
     check_band(band)
-    f_lo, f_hi = band
     # scipy's compiled filter loop refuses a read-only coefficient array.
-    sos = _bandpass_sos(float(f_lo), float(f_hi)).copy()
-    try:
-        filtered = signal.sosfiltfilt(sos, stream.samples, axis=1)
-    except np.linalg.LinAlgError as err:      # an edge so near 0 Hz that a pole sits at z = 1
-        raise ConfigurationError(f"band {band} gives a singular filter ({err})") from err
-    return IntensityStream(filtered)
+    sos = _bandpass_sos(float(band[0]), float(band[1])).copy()
+    return IntensityStream(signal.sosfiltfilt(sos, stream.samples, axis=1))
 
 
 def frame_matrix(stream: IntensityStream, cfg: FrameShaperConfig) -> np.ndarray:

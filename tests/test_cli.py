@@ -453,7 +453,9 @@ class TestBadConfigValues:
          "64-sample frame hold 4 samples each, fewer than 8"),
         ({"features": {"band_lo_hz": 5.0, "band_hi_hz": 5.0}}, "features.bank_bands, "
          "band_lo_hz and band_hi_hz: band [5.0, 5.0) Hz contains no spectrum bins"),
-    ], ids=["subwindows-32", "frame-64", "empty-bank-band"])
+        ({"framing": {"band_lo_hz": 1e-06}}, "framing.band_lo_hz and band_hi_hz "
+         "(1e-06, 800.0) gives a singular filter"),
+    ], ids=["subwindows-32", "frame-64", "empty-bank-band", "singular-filter"])
     def test_preprocessing_checked_before_any_command_runs(self, tmp_path, capsys,
                                                            monkeypatch, command, doc,
                                                            fragment):

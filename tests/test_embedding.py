@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+import tsne_oracle
+from fiberwatch import embedding
 from fiberwatch.embedding import (EmbeddingConfig, center_distances,
                                   conditional_affinities, joint_affinities,
                                   median_centers, mst, pca, tsne, _q_matrix, _sq_dists,
@@ -120,7 +122,7 @@ class TestTsne:
         q, num = _q_matrix(y)
         w = (p - q) * num
         oracle = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
-        got = _tsne_gradient(p, y)
+        got = _tsne_gradient(p, y, *_q_matrix(y))
         assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()
 
     def test_kl_non_increasing_after_exaggeration(self, rng):
@@ -164,6 +166,72 @@ class TestTsne:
     def test_too_few_points_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             tsne(rng.normal(size=(20, 3)), EmbeddingConfig(perplexity=30.0), 0)
+
+
+def rejecting(kl, calls):
+    """``kl`` with the KL value of each 0-based call in ``calls`` made +inf,
+    so the step that makes those calls accepts none of its attempts.  The
+    oracle's ``kl`` returns the value; ``embedding``'s returns (value, Q)."""
+    count = itertools.count()
+
+    def wrapped(*args):
+        value = kl(*args)
+        if next(count) not in calls:
+            return value
+        return (np.inf, value[1]) if isinstance(value, tuple) else np.inf
+    return wrapped
+
+
+class TestTsneSteps:
+    """``tsne`` against the step-by-step oracle in tests/tsne_oracle.py."""
+
+    # 60 post-exaggeration steps.  At learning rate 500 some steps halve
+    # their move; at 3000 every step takes its first attempt, so KL call
+    # 11 is step 10's first attempt, and calls 11..50 reject all 40 of them.
+    CASES = {"halving": (500.0, range(0)), "no-step-accepted": (3000.0, range(11, 51))}
+
+    def descend(self, monkeypatch, case):
+        rate, rejected = self.CASES[case]
+        pts, _ = three_blobs(np.random.default_rng(0), per=30, spread=0.3, sep=5.0)
+        cfg = EmbeddingConfig(dims=2, perplexity=10.0, iterations=160,
+                              learning_rate=rate)
+        monkeypatch.setattr(tsne_oracle, "kl_divergence",
+                            rejecting(tsne_oracle.kl_divergence, rejected))
+        want = tsne_oracle.tsne(pts, cfg, 3)
+        kl_calls, q_inputs = [], []
+        kl = rejecting(embedding.kl_divergence, rejected)
+        monkeypatch.setattr(embedding, "kl_divergence",
+                            lambda *a: kl_calls.append(1) or kl(*a))
+        q_matrix = embedding._q_matrix
+        monkeypatch.setattr(embedding, "_q_matrix",
+                            lambda y: q_inputs.append(y.tobytes()) or q_matrix(y))
+        trace: list = []
+        got = tsne(pts, cfg, 3, kl_trace=trace)
+        return cfg, want, (got, trace, len(kl_calls)), q_inputs
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bytes_and_kl_calls_as_the_oracle(self, monkeypatch, case):
+        cfg, (want, want_trace, want_calls), (got, trace, calls), _ = \
+            self.descend(monkeypatch, case)
+        steps = cfg.iterations - cfg.exaggeration_iters
+        assert len(want_trace) == steps
+        if case == "halving":
+            assert want_calls > steps + 1
+        else:
+            assert want_trace[10] == want_trace[9]
+        assert np.array_equal(got, want)
+        assert np.array_equal(trace, want_trace)
+        assert calls == want_calls
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_no_q_matrix_built_twice_for_one_embedding(self, monkeypatch, case):
+        cfg, _, (_, _, calls), q_inputs = self.descend(monkeypatch, case)
+        # After a step accepts nothing its velocity is 0, so the next step's
+        # first attempt is the pure-gradient move the rejected step made at
+        # its attempt 20: the one embedding two KL calls score.
+        repeats = len(q_inputs) - len(set(q_inputs))
+        assert repeats == (1 if case == "no-step-accepted" else 0)
+        assert len(q_inputs) <= cfg.exaggeration_iters + 1 + calls
 
 
 class TestMedianCenters:

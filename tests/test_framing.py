@@ -132,6 +132,13 @@ class TestPrimaryFilter:
         with pytest.raises(ConfigurationError, match="singular filter"):
             primary_filter(IntensityStream(np.ones((1, 100))), (1e-10, 800.0))
 
+    def test_singular_band_rejected_with_the_configuration(self):
+        # At 1e-3 Hz the initial-state system is still regular.
+        FrameShaperConfig(band_lo_hz=1e-3)
+        with pytest.raises(ConfigurationError, match="band_lo_hz and band_hi_hz "
+                           r"\(1e-06, 800.0\) gives a singular filter"):
+            FrameShaperConfig(band_lo_hz=1e-6)
+
 
 class TestRunningStats:
     def test_constant_stream_is_dead(self):
