@@ -84,16 +84,18 @@ def frame_count(n_samples: int, cfg: FrameShaperConfig) -> int:
 
 
 @lru_cache(maxsize=16)
-def _bandpass_sos(f_lo: float, f_hi: float) -> np.ndarray:
-    """The 4th-order Butterworth band-pass design, built once per band and
-    process; read-only, so callers filter with a copy.  Raises
-    ``np.linalg.LinAlgError`` where ``sosfiltfilt`` would: an edge so near
-    0 Hz that a pole sits at z = 1 makes the initial-state system singular."""
+def _bandpass_sos(f_lo: float, f_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 4th-order Butterworth band-pass design and its unit-step initial
+    state (``sosfilt_zi``), built once per band and process; both read-only,
+    so callers filter with a copy.  Raises ``np.linalg.LinAlgError`` where
+    ``sosfiltfilt`` would: an edge so near 0 Hz that a pole sits at z = 1
+    makes the initial-state system singular."""
     sos = signal.butter(4, [f_lo, f_hi], btype="bandpass",
                         fs=SAMPLE_RATE_HZ, output="sos")
-    signal.sosfilt_zi(sos)
+    zi = signal.sosfilt_zi(sos)
     sos.setflags(write=False)
-    return sos
+    zi.setflags(write=False)
+    return sos, zi
 
 
 def check_band(band, name: str = "band") -> None:
@@ -113,12 +115,27 @@ def primary_filter(stream: IntensityStream, band) -> IntensityStream:
     """Zero-phase band-pass over every channel to ``band``, (lo, hi) Hz.
 
     Forward-backward second-order sections keep the output aligned with the
-    input, so frame boundaries stay consistent with ground-truth marks.
+    input, so frame boundaries stay consistent with ground-truth marks.  The
+    steps are ``signal.sosfiltfilt``'s, with the band's cached initial state:
+    an odd extension of ``pad`` samples at each end, a forward pass started
+    from the first sample's steady state, and a backward pass started from
+    the last output's.
     """
     check_band(band)
+    sos, zi = _bandpass_sos(float(band[0]), float(band[1]))
     # scipy's compiled filter loop refuses a read-only coefficient array.
-    sos = _bandpass_sos(float(band[0]), float(band[1])).copy()
-    return IntensityStream(signal.sosfiltfilt(sos, stream.samples, axis=1))
+    sos = sos.copy()
+    pad = 3 * (2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum()))
+    x = stream.samples
+    if x.shape[1] <= pad:
+        raise ValueError("The length of the input vector x must be greater than "
+                         f"padlen, which is {pad}.")
+    ext = np.concatenate((2 * x[:, :1] - x[:, pad:0:-1], x,
+                          2 * x[:, -1:] - x[:, -2:-pad - 2:-1]), axis=1)
+    zi = zi[:, None, :]                  # (sections, channels, 2) once scaled
+    y, _ = signal.sosfilt(sos, ext, axis=1, zi=zi * ext[:, :1])
+    y, _ = signal.sosfilt(sos, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
+    return IntensityStream(y[:, ::-1][:, pad:-pad])
 
 
 def frame_matrix(stream: IntensityStream, cfg: FrameShaperConfig) -> np.ndarray:

@@ -13,6 +13,11 @@ directly.  The backward pass rebuilds the same columns for the weight
 gradient, and the input gradient scatters the kernel-times-gradient
 columns back over the kh*kw offsets (col2im).
 
+Max pooling takes each window's maximum over its columns, then over its
+rows.  In training, the same comparisons record each window's winner, its
+first maximum in (row, column) order, as two small integer arrays, and the
+backward pass routes the window's gradient to it.
+
 Training and inference run one layer list, in the order it runs: a ReLU
 directly followed by a max pool comes after that pool.  Max and ReLU
 commute, so this is exact, and the ReLU touches only pooled elements.
@@ -203,16 +208,27 @@ class _Conv:
 
 
 class _Pool:
+    """Max pool over non-overlapping (ph, pw) windows; trailing rows and
+    columns that fill no window are dropped.
+
+    Both modes take the maximum over each window's columns, then over its
+    rows.  Training also records the winner of every window from the same
+    comparisons: ``col`` holds, for each input row of each window, the first
+    column offset holding the row's maximum, and ``row`` the first row offset
+    whose column maximum is the window maximum.  The winner is thus the
+    window's first maximum in (row, column) order, and the backward pass
+    routes each output gradient to it alone.
+    """
+
     def __init__(self, spec: PoolSpec, in_shape):
         c, h, w = in_shape
         self.ph, self.pw = spec.window
         self.out_shape = (c, h // self.ph, w // self.pw)
         if self.out_shape[1] < 1 or self.out_shape[2] < 1:
             raise ConfigurationError(f"pool window {spec.window} exceeds input {in_shape}")
-        _, ho, wo = self.out_shape
-        # (rows, cols) slices that pick offset k = a*pw + d of every window.
-        self.offsets = [(slice(a, ho * self.ph, self.ph), slice(d, wo * self.pw, self.pw))
-                        for a in range(self.ph) for d in range(self.pw)]
+        # The smallest signed type that holds -max(ph, pw) holds every
+        # window offset, 0 .. max(ph, pw) - 1.
+        self.pick = np.min_scalar_type(-max(self.ph, self.pw)).type
 
     def params(self):
         return []
@@ -220,19 +236,38 @@ class _Pool:
     def forward(self, x, train, rng):
         _, ho, wo = self.out_shape
         hs, ws = ho * self.ph, wo * self.pw
-        # Max over each window's columns, then over its rows.
-        cols = reduce(np.maximum, [x[:, :, :hs, d:ws:self.pw] for d in range(self.pw)])
-        out = reduce(np.maximum, [cols[:, :, a::self.ph] for a in range(self.ph)])
+        col_views = [x[:, :, :hs, d:ws:self.pw] for d in range(self.pw)]
         if not train:
-            return out, None
-        windows = np.stack([x[:, :, r, c] for r, c in self.offsets], axis=-1)
-        return out, (np.argmax(windows, axis=-1), x.shape)
+            cols = reduce(np.maximum, col_views)
+            return reduce(np.maximum, [cols[:, :, a::self.ph] for a in range(self.ph)]), None
+        cols, col = self._first_max(col_views)
+        out, row = self._first_max([cols[:, :, a::self.ph] for a in range(self.ph)])
+        return out, (col, row, x.shape)
+
+    def _first_max(self, views):
+        """The running maximum over ``views``, as ``reduce(np.maximum,
+        views)`` computes it, and per element the index of the first view
+        that holds it: a strictly greater view takes over."""
+        m, idx = views[0], np.zeros(views[0].shape, self.pick)
+        for k, v in enumerate(views[1:], 1):
+            np.maximum(idx, (v > m) * self.pick(k), out=idx)
+            m = np.maximum(m, v)
+        return m, idx
 
     def backward(self, dout, cache):
-        idx, x_shape = cache
-        dx = np.zeros(x_shape, dtype=dout.dtype)
-        for k, (r, c) in enumerate(self.offsets):
-            dx[:, :, r, c] = np.where(idx == k, dout, 0)
+        col, row, x_shape = cache
+        _, ho, wo = self.out_shape
+        hs, ws = ho * self.ph, wo * self.pw
+        # Every element of a window is written below; only the dropped
+        # trailing rows and columns need zeros.
+        dx = np.empty(x_shape, dtype=dout.dtype)
+        dx[:, :, hs:] = 0
+        dx[:, :, :hs, ws:] = 0
+        for a in range(self.ph):
+            da = dout * (row == a)
+            for d in range(self.pw):
+                np.multiply(da, col[:, :, a::self.ph] == d,
+                            out=dx[:, :, a:hs:self.ph, d:ws:self.pw])
         return dx, []
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fiberwatch import SAMPLE_RATE_HZ
+from scipy import signal
+
+from fiberwatch import SAMPLE_RATE_HZ, framing
 from fiberwatch.errors import ConfigurationError
 from fiberwatch.framing import (DEAD_SD, FrameShaperConfig, IntensityStream,
                                 frame_bounds, frame_count, frame_matrix,
@@ -120,6 +122,35 @@ class TestPrimaryFilter:
         separate = a * primary_filter(x, band).samples + b * primary_filter(y, band).samples
         scale = np.abs(separate).max()
         assert np.max(np.abs(combined.samples - separate)) < 1e-9 * scale
+
+    @pytest.mark.parametrize("shape", [(1, 28), (1, 29), (3, 100), (2, 2048), (8, 20_000)])
+    @pytest.mark.parametrize("band", [(5.0, 800.0), (1.0, 40.0)])
+    def test_bytes_equal_sosfiltfilt(self, rng, shape, band):
+        x = 100.0 * rng.normal(size=shape)
+        sos = signal.butter(4, band, btype="bandpass", fs=SAMPLE_RATE_HZ, output="sos")
+        got = primary_filter(IntensityStream(x), band).samples
+        want = signal.sosfiltfilt(sos, x, axis=1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_stream_within_the_padding_rejected_as_sosfiltfilt_does(self):
+        with pytest.raises(ValueError, match="greater than padlen, which is 27"):
+            primary_filter(IntensityStream(np.ones((2, 27))), (5.0, 800.0))
+
+    def test_initial_state_designed_once_per_band(self, monkeypatch):
+        calls, sosfilt_zi = [], signal.sosfilt_zi
+
+        def counted(sos):
+            calls.append(sos)
+            return sosfilt_zi(sos)
+
+        monkeypatch.setattr(signal, "sosfilt_zi", counted)
+        framing._bandpass_sos.cache_clear()
+        stream = IntensityStream(np.ones((1, 100)))
+        for _ in range(3):
+            for band in [(5.0, 800.0), (1.0, 40.0)]:
+                primary_filter(stream, band)
+        assert len(calls) == 2
 
     def test_invalid_band_rejected(self):
         stream = IntensityStream(np.zeros((1, 100)))

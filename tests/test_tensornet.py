@@ -13,6 +13,7 @@ from fiberwatch.tensornet import (ConvSpec, DenseSpec,
                                   save_checkpoint, sgd_step, softmax_batch)
 
 from gradcheck import gradient_check
+from pool_oracle import PoolOracle
 
 INPUT = (8, 12)
 
@@ -177,6 +178,41 @@ class TestConvAgainstEinsumOracle:
         dx, grads = layer.backward(dout, cache, need_dx=False)
         assert dx is None
         assert all(np.array_equal(a, b) for a, b in zip(grads, full))
+
+
+class TestPoolAgainstArgmaxOracle:
+    """The pool's winners from its two-stage maximum against the stacked
+    windows' ``argmax``: the same outputs and the same input gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("window, in_shape", [
+        ((2, 2), (3, 11, 17)), ((3, 2), (3, 11, 17)), ((2, 1), (3, 11, 17)),
+        ((1, 3), (3, 11, 17)), ((1, 1), (3, 11, 17)),
+        # Offsets up to 199 do not fit the int8 picks of the windows above.
+        ((1, 200), (2, 3, 413)),
+    ])
+    def test_outputs_and_input_gradient_match(self, dtype, ties, window, in_shape):
+        rng = np.random.default_rng([*window, *in_shape, ties])
+        shape = (6,) + in_shape
+        if ties:
+            x = rng.integers(-2, 3, shape).astype(dtype)
+            x[0] = 0
+        else:
+            x = rng.normal(size=shape).astype(dtype)
+        layer, oracle = _Pool(PoolSpec(window), in_shape), PoolOracle(PoolSpec(window), in_shape)
+        dout = rng.normal(size=shape[:1] + layer.out_shape).astype(dtype)
+        assert np.array_equal(layer.forward(x, False, None)[0], oracle.forward(x, False, None)[0])
+        out, cache = layer.forward(x, True, None)
+        want_out, want_cache = oracle.forward(x, True, None)
+        assert np.array_equal(out, want_out)
+        col, row, _ = cache
+        assert col.dtype == row.dtype == (np.int16 if max(window) > 128 else np.int8)
+        dx, _ = layer.backward(dout, cache)
+        want_dx, _ = oracle.backward(dout, want_cache)
+        assert dx.dtype == dtype
+        # An unchosen element may hold -0.0 where the oracle holds +0.0.
+        assert np.array_equal(dx, want_dx)
 
 
 def spec_order_layers(net):

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from fiberwatch import SAMPLE_RATE_HZ
+from fiberwatch import SAMPLE_RATE_HZ, tensornet
 from fiberwatch.ensemble import EnsembleModel, predict_fused
 from fiberwatch.errors import ConfigurationError, DivergenceError
 from fiberwatch.features import (FeatureConfig, NormalizerStats, Pipeline, blobs_from_windows,
                                  standardize)
 from fiberwatch.framing import FrameShaperConfig, IntensityStream, frame_matrix, primary_filter
 from fiberwatch.siggen import DatasetConfig, generate_dataset, save_dataset
-from fiberwatch.tensornet import DenseSpec, Network, NetworkSpec, ReluSpec
+from fiberwatch.tensornet import (DenseSpec, Network, NetworkSpec, ReluSpec,
+                                  reference_member_specs)
 from fiberwatch.training import (TrainConfig, cross_entropy_loss, dataset_labels,
                                  load_dataset_features, one_hot, relabel_dataset,
                                  stream_features, stream_scores, train_member)
 from frame_oracle import adapt_frames
+from pool_oracle import PoolOracle
 
 BLOB_SHAPE = (4, 6)
 
@@ -100,6 +102,27 @@ class TestTrainMember:
             with pytest.raises(DivergenceError) as err:
                 train_member(net, (x, y), (x, y), cfg, 0)
         assert err.value.last_good is not None
+
+    def test_trains_to_the_bytes_of_the_argmax_pool_oracle(self, rng, monkeypatch):
+        # Inputs at 0 or +-clip, one all-zero row, and small-integer kernels
+        # (biases start at 0): until the first steps move them, conv outputs
+        # are small integers and the pool windows are full of ties.
+        clip = FeatureConfig().clip
+        spec = reference_member_specs()[0]
+        x = rng.integers(-1, 2, (40,) + spec.input_shape) * clip
+        x[0] = 0
+        y = np.arange(40) % 7
+        kernels = rng.integers(-1, 2, (8, 1, 3, 3)), rng.integers(-1, 2, (16, 8, 3, 3))
+
+        def trained():
+            net = Network(spec, seed=2)
+            net.parameters()[0][...], net.parameters()[2][...] = kernels
+            best, _ = train_member(net, (x, y), (x, y), TrainConfig(epochs=3, batch_size=16), 5)
+            return [p.tobytes() for p in net.parameters() + best.parameters()]
+
+        got = trained()
+        monkeypatch.setattr(tensornet, "_Pool", PoolOracle)
+        assert trained() == got
 
     def test_early_stop_caps_epochs(self, rng):
         x, y = toy_clusters(rng)
