@@ -108,13 +108,11 @@ def conditional_affinities(dists: np.ndarray, perplexity: float):
     """Bisection per point until entropy matches log(perplexity) within
     ENTROPY_TOL.
 
-    Returns the conditional matrix (rows sum to 1, zero diagonal) and the
-    per-point precisions.
+    Returns the conditional matrix: rows sum to 1, zero diagonal.
     """
     n = dists.shape[0]
     target = np.log(perplexity)
     p_cond = np.zeros((n, n))
-    betas = np.ones(n)
     for i in range(n):
         row = np.delete(dists[i], i)
         beta, lo, hi = 1.0, 0.0, np.inf
@@ -129,9 +127,8 @@ def conditional_affinities(dists: np.ndarray, perplexity: float):
                 hi = beta
                 beta = (beta + lo) / 2.0
             p, h = _row_affinity(row, beta)
-        betas[i] = beta
         p_cond[i, np.arange(n) != i] = p
-    return p_cond, betas
+    return p_cond
 
 
 def joint_affinities(p_cond: np.ndarray) -> np.ndarray:
@@ -182,9 +179,13 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
     """Embed points into cfg.dims dimensions; deterministic given ``seed``.
 
     When ``kl_trace`` is a list, the accepted KL value of every
-    post-exaggeration step is appended to it.  A descent whose embedding
-    leaves the finite numbers (a learning rate too large) stops there with
-    NumericError; it runs with numpy's overflow and invalid warnings off.
+    post-exaggeration step is appended to it.  A step that accepts none of
+    its 40 attempts ends the descent: the next step would start from the
+    same embedding at zero velocity and score the same candidates, so the
+    embedding is final and ``kl_trace`` ends at the last accepted step.
+    A descent whose embedding leaves the finite numbers (a learning rate
+    too large) stops there with NumericError; it runs with numpy's
+    overflow and invalid warnings off.
     Q is built once per embedding: the KL evaluation of an accepted
     candidate hands its Q to the next step's gradient.
     """
@@ -198,7 +199,7 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
         warnings.warn("duplicate points: adding seeded jitter", stacklevel=2)
         x = x + rng.normal(0.0, 1e-8 * (1.0 + x.std()), x.shape)
         dists = _sq_dists(x)
-    p = joint_affinities(conditional_affinities(dists, cfg.perplexity)[0])
+    p = joint_affinities(conditional_affinities(dists, cfg.perplexity))
     mask = p > 0
     p_m = p[mask]
     p_exag = p * cfg.exaggeration
@@ -231,9 +232,7 @@ def tsne(points: np.ndarray, cfg: EmbeddingConfig, seed: int,
                 continue
             scale *= 0.5
         else:
-            kl_new = kl_prev
-            scale = 0.0
-            cand = qn           # y + 0 * raw is y
+            break           # no attempt lowers KL: y is final
         vel = scale * raw
         y = y + vel
         qn = cand

@@ -109,18 +109,19 @@ class NormalizerStats:
 def _spectral_tables(sub_len: int, cfg: FeatureConfig) -> tuple:
     """Fixed tables for sub-windows of ``sub_len`` samples, built once per
     (sub_len, cfg) and process, and read-only: the FFT length, the
-    truncated Hamming window, the band bounds, the per-bin scale, twice the
-    window's spectrum H, and the band sums of |H|^2.  Band j is the bins
-    ``bounds[j]:bounds[j + 1]``, those in its [lo, hi) of ``band_edges()``.
-    ``scale`` is the one-sided periodogram scale of bins ``bounds[0]`` to
-    ``bounds[-1] - 1``: 2/E, or 1/E at bin 0 and the Nyquist bin, E being
-    the full window's energy, so the bins sum to the windowed mean square."""
+    truncated Hamming window, the band bounds, the per-bin scale and the
+    window's spectrum H over the bins the bank covers, ``bounds[0]`` to
+    ``bounds[-1] - 1``.  Band j is the bins ``bounds[j]:bounds[j + 1]``,
+    those in its [lo, hi) of ``band_edges()``.  ``scale`` is the one-sided
+    periodogram scale of the covered bins: 2/E, or 1/E at bin 0 and the
+    Nyquist bin, E being the full window's energy, so the bins sum to the
+    windowed mean square."""
     n_fft = 1 << (sub_len - 1).bit_length()
     ham = np.hamming(n_fft)
     freqs = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE_HZ / n_fft)
     edges = cfg.band_edges()
     bounds = np.searchsorted(freqs, edges)
-    # reduceat gives one bin, not 0, for bounds that do not increase.
+    # Reversed edges give falling bounds, and equal bounds an empty band.
     empty = np.flatnonzero(np.diff(bounds) <= 0)
     if empty.size:
         lo, hi = edges[empty[0]:empty[0] + 2]
@@ -128,47 +129,28 @@ def _spectral_tables(sub_len: int, cfg: FeatureConfig) -> tuple:
     bins = np.arange(bounds[0], bounds[-1])
     scale = np.where(bins % (n_fft // 2), 2.0, 1.0) / np.sum(ham * ham)
     ham = ham[:sub_len]
-    h = np.fft.rfft(ham, n=n_fft)
-    window_power = np.empty(cfg.bank_bands)
-    _band_sums((h.real * h.real + h.imag * h.imag)[None], bounds, scale, window_power[None])
-    h *= 2.0
-    for table in (ham, bounds, scale, h, window_power):
+    h = np.fft.rfft(ham, n=n_fft)[bounds[0]:bounds[-1]]
+    for table in (ham, bounds, scale, h):
         table.setflags(write=False)
-    return n_fft, ham, bounds, scale, h, window_power
+    return n_fft, ham, bounds, scale, h
 
 
-def _band_sums(per_bin: np.ndarray, bounds: np.ndarray, scale: np.ndarray,
-               out: np.ndarray) -> None:
-    """Scaled sums of ``per_bin`` (n, bins) over each band's bins into
-    ``out`` (n, bands).  Each row is reduced on its own, so it does not
-    depend on the other rows of the call, as a matrix product's blocking
-    can make it."""
-    np.add.reduceat(per_bin[:, bounds[0]:bounds[-1]] * scale, bounds[:-1] - bounds[0],
-                    axis=1, out=out)
-
-
-def _subwindow_stats(w: np.ndarray, tables: tuple, power: np.ndarray,
-                     cross: np.ndarray, st: np.ndarray) -> None:
-    """Statistics of the sub-windows ``w`` (n, sub_len), written to
-    ``power`` and ``cross`` (n, bands): band sums of |X|^2 and 2 Re(X conj H),
+def _subwindow_stats(w: np.ndarray, tables: tuple, spec: np.ndarray,
+                     st: np.ndarray) -> None:
+    """Statistics of the sub-windows ``w`` (n, sub_len), written to the
+    complex ``spec`` (n, covered bins): X over the bins the bank covers,
     and to ``st`` (7, n): first sample, mean after subtracting it, m2,
     excess kurtosis, skewness, max and min.  X is the spectrum of the
-    centered Hamming windowed sub-window, H that of the window; moments and
-    extremes are of the centered samples.  Shifting by the first sample,
-    then centering, keeps a stream offset out of the spectrum and the
-    moments.  A constant sub-window gets 0 kurtosis and skewness."""
-    n_fft, ham, bounds, scale, h2, _ = tables
+    centered Hamming windowed sub-window; moments and extremes are of the
+    centered samples.  Shifting by the first sample, then centering, keeps
+    a stream offset out of the spectrum and the moments.  A constant
+    sub-window gets 0 kurtosis and skewness."""
+    n_fft, ham, bounds = tables[:3]
     st[0] = w[:, 0]
     c = w - st[0][:, None]
     st[1] = c.mean(axis=1)
     c -= st[1][:, None]
-    spec = np.fft.rfft(c * ham, n=n_fft, axis=1)
-    per_bin = spec.real * spec.real
-    per_bin += spec.imag * spec.imag
-    _band_sums(per_bin, bounds, scale, power)
-    np.multiply(spec.real, h2.real, out=per_bin)
-    per_bin += spec.imag * h2.imag
-    _band_sums(per_bin, bounds, scale, cross)
+    spec[...] = np.fft.rfft(c * ham, n=n_fft, axis=1)[:, bounds[0]:bounds[-1]]
     c.max(axis=1, out=st[5])
     c.min(axis=1, out=st[6])
     # Kurtosis and skewness are scale-free; taking the moments of the
@@ -207,9 +189,10 @@ def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig, pick=None,
     Each sub-window is transformed once, however often it is picked: the
     standardization is applied to its statistics, which is exact, since it
     is an affine map.  With X the spectrum of the centered sub-window, H
-    that of the window and delta its mean minus ``mean``, a band power is
-    the band sum of |X|^2 + 2 delta Re(X conj H) + delta^2 |H|^2 over sd^2;
-    central moments scale by powers of ``sd``, and the extremes shift by delta.
+    that of the window and delta its mean minus ``mean``, the row's
+    spectrum is X + delta H, and a band power is the band sum of
+    |X + delta H|^2 over sd^2; central moments scale by powers of ``sd``,
+    and the extremes shift by delta.
     """
     w = np.asarray(windows, dtype=np.float64)
     sub_len = w.shape[-1]
@@ -223,29 +206,38 @@ def blobs_from_windows(windows: np.ndarray, cfg: FeatureConfig, pick=None,
     sd = np.broadcast_to(sd, shape).reshape(-1)
     w = w.reshape(-1, sub_len)
     tables = _spectral_tables(sub_len, cfg)
-    n_fft, window_power = tables[0], tables[-1]
+    n_fft, _, bounds, scale, h = tables
     nb = cfg.bank_bands
 
-    power, cross = np.empty((2, w.shape[0], nb))
+    spec = np.empty((w.shape[0], h.size), dtype=np.complex128)
     st = np.empty((7, w.shape[0]))
     step = max(1, FEATURE_BUFFER_BYTES // (8 * n_fft))
     for lo in range(0, w.shape[0], step):
         part = slice(lo, lo + step)
-        _subwindow_stats(w[part], tables, power[part], cross[part], st[:, part])
+        _subwindow_stats(w[part], tables, spec[part], st[:, part])
     first, shifted_mean, m2, kurt, skew, top, bottom = st
 
     out = np.empty((pick.size, cfg.feature_dim))
-    step = max(1, FEATURE_BUFFER_BYTES // (8 * nb))
+    step = max(1, FEATURE_BUFFER_BYTES // (16 * h.size))
+    # Output index of each covered bin of a chunk's rows, in row-major order.
+    # ``np.bincount`` adds each band's bins in order, so a row's band powers
+    # do not depend on the other rows of the call, as a matrix product's
+    # blocking can make them.
+    band_of = (np.arange(step)[:, None] * nb
+               + np.repeat(np.arange(nb), np.diff(bounds))).reshape(-1)
     for lo in range(0, pick.size, step):
         rows = slice(lo, lo + step)
         u = pick[rows]
         live = sd[rows] > 0.0
         inv_sd = np.where(live, 1.0 / np.where(live, sd[rows], 1.0), 0.0)
         delta = (first[u] - mean[rows]) + shifted_mean[u]
-        bands = cross[u]
-        bands += delta[:, None] * window_power
-        bands *= delta[:, None]
-        bands += power[u]
+        y = spec[u]
+        y += delta[:, None] * h
+        per_bin = y.real * y.real
+        per_bin += y.imag * y.imag
+        per_bin *= scale
+        bands = np.bincount(band_of[:per_bin.size], per_bin.reshape(-1),
+                            u.size * nb).reshape(-1, nb)
         bands *= (inv_sd * inv_sd)[:, None]
         np.log(np.maximum(bands, POWER_FLOOR, out=bands), out=out[rows, :nb])
         o = out[rows]

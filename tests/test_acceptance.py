@@ -222,7 +222,7 @@ class TestCriterion7:
         labels = np.repeat(np.arange(3), 200)
 
         dists = embedding._sq_dists(pts)
-        p_cond, _ = embedding.conditional_affinities(dists, 30.0)
+        p_cond = embedding.conditional_affinities(dists, 30.0)
         p = embedding.joint_affinities(p_cond)
         sum_ok = abs(p.sum() - 1.0) <= 1e-9
 

@@ -134,8 +134,8 @@ class TestFilterBank:
     @pytest.mark.parametrize("sub_len", [128, 120])
     def test_dc_and_nyquist_bins_take_half_weight(self, sub_len):
         # Bands from below 0 Hz to above Nyquist hold bin 0 and the Nyquist
-        # bin.  A constant and an alternating sub-window have no centered
-        # spectrum or no offset, so no two terms of a band power cancel.
+        # bin.  A band power is the band sum of |X + delta H|^2, a sum of
+        # non-negative terms, so none of its terms cancel.
         cfg = FeatureConfig(band_lo_hz=-10.0, band_hi_hz=834.0)
         x = np.stack([np.full(sub_len, 3.0), 50.0 * (-1.0) ** np.arange(sub_len)])
         got = blobs_from_windows(x, cfg)[:, :cfg.bank_bands]
@@ -174,8 +174,9 @@ class TestFeatureBlob:
 
 
 class TestBatchMatchesScalarDefinitions:
-    @pytest.mark.parametrize("cfg", [FeatureConfig(), FeatureConfig(bank_bands=12)],
-                             ids=["60-bands", "12-bands"])
+    @pytest.mark.parametrize("cfg", [FeatureConfig(), FeatureConfig(bank_bands=12),
+                                     FeatureConfig(band_lo_hz=-10.0, band_hi_hz=834.0)],
+                             ids=["60-bands", "12-bands", "bin-0-band"])
     @pytest.mark.parametrize("sub_len", [128, 120])
     def test_rows_equal_scalar_features(self, rng, sub_len, cfg):
         # Log energies compare absolutely: an error of 1e-12 in a log is a

@@ -5,7 +5,9 @@
 terms in place.  This is the same descent written out directly: Q is
 rebuilt for every gradient and every KL value, and the mask on every KL
 value.  It does the same arithmetic in the same order, so the tests require
-equal bytes, not a tolerance.
+equal bytes, not a tolerance.  After a step that accepts none of its
+attempts, ``embedding.tsne`` stops; the oracle keeps stepping with zero
+velocity, so the tests can show that the steps it skips do not move.
 """
 
 import numpy as np
@@ -46,7 +48,7 @@ def tsne(points, cfg, seed):
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     rng = np.random.default_rng([seed, 0x75E3])
-    p = joint_affinities(conditional_affinities(sq_dists(x), cfg.perplexity)[0])
+    p = joint_affinities(conditional_affinities(sq_dists(x), cfg.perplexity))
     y = rng.normal(0.0, 1e-4, (n, cfg.dims))
     vel = np.zeros_like(y)
     kl_prev = None
